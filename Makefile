@@ -30,8 +30,9 @@ shuffle:
 # cover enforces coverage floors on the subsystems whose interesting
 # branches a quick test run can silently stop exercising: the fan-out
 # engine (cancellation, panic relay, backpressure), the job queue
-# (retry classification, drain, admission, store quarantine), and the
-# sharded-replay engine (fallback matrix, panic relay, merge paths).
+# (retry classification, drain, admission, store quarantine), and
+# sharded replay on that engine (fallback matrix, shard filtering,
+# merge paths).
 FANOUT_COVER_MIN ?= 85.0
 JOBQUEUE_COVER_MIN ?= 80.0
 SHARDREPLAY_COVER_MIN ?= 85.0

@@ -28,8 +28,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -113,40 +115,52 @@ func load(path string) (report, error) {
 	return r, nil
 }
 
-func main() {
-	baselinePath := flag.String("baseline", "BENCH_telemetry.json",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run gates the artifacts named by args and returns the exit code: 0
+// when every gate passes, 1 when one fails, 2 on a usage error or an
+// unreadable, missing or zero artifact.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baselinePath := fs.String("baseline", "BENCH_telemetry.json",
 		"committed baseline artifact")
-	measuredPath := flag.String("measured", "",
+	measuredPath := fs.String("measured", "",
 		"freshly measured artifact (defaults to gating the baseline against itself)")
-	maxOverhead := flag.Float64("max-overhead", 10,
+	maxOverhead := fs.Float64("max-overhead", 10,
 		"maximum telemetry-on overhead in percent, per replay arm")
-	maxIntrospect := flag.Float64("max-introspect-overhead", 5,
+	maxIntrospect := fs.Float64("max-introspect-overhead", 5,
 		"maximum introspection-on overhead in percent on the in-memory replay")
-	maxTrace := flag.Float64("max-trace-overhead", 5,
+	maxTrace := fs.Float64("max-trace-overhead", 5,
 		"maximum trace-attached overhead in percent on the fan-out replay")
-	allocSlack := flag.Float64("alloc-slack", 1.5,
+	allocSlack := fs.Float64("alloc-slack", 1.5,
 		"allowed multiple of baseline allocs/op on the file-backed replay")
-	shardPath := flag.String("shard-baseline", "",
+	shardPath := fs.String("shard-baseline", "",
 		"shard scaling artifact (BENCH_shard.json); empty skips the shard gate")
-	shardMeasuredPath := flag.String("shard-measured", "",
+	shardMeasuredPath := fs.String("shard-measured", "",
 		"freshly measured shard artifact (defaults to gating the shard baseline)")
-	minShardSpeedup := flag.Float64("min-shard-speedup", 3,
+	minShardSpeedup := fs.Float64("min-shard-speedup", 3,
 		"required 8-shard speedup over 1 shard, enforced only when the artifact's host has >= 8 cores")
-	minShardSanity := flag.Float64("min-shard-sanity", 0.4,
+	minShardSanity := fs.Float64("min-shard-sanity", 0.4,
 		"required 8-shard speedup on hosts with fewer than 8 cores (a routing-overhead ceiling, not a scaling claim)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	baseline, err := load(*baselinePath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchgate:", err)
+		return 2
 	}
 	measured := baseline
 	if *measuredPath != "" {
 		measured, err = load(*measuredPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "benchgate:", err)
+			return 2
 		}
 	}
 
@@ -200,15 +214,15 @@ func main() {
 	if *shardPath != "" {
 		sb, err := loadShard(*shardPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "benchgate:", err)
+			return 2
 		}
 		sm := sb
 		if *shardMeasuredPath != "" {
 			sm, err = loadShard(*shardMeasuredPath)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchgate:", err)
-				os.Exit(2)
+				fmt.Fprintln(stderr, "benchgate:", err)
+				return 2
 			}
 		}
 		if sm.Cores >= 8 {
@@ -230,11 +244,11 @@ func main() {
 
 	if len(failures) > 0 {
 		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "benchgate: FAIL:", f)
+			fmt.Fprintln(stderr, "benchgate: FAIL:", f)
 		}
-		os.Exit(1)
+		return 1
 	}
-	fmt.Printf("benchgate: ok — in-memory overhead %.1f%%, introspection overhead %.1f%% (budget %.1f%%), "+
+	fmt.Fprintf(stdout, "benchgate: ok — in-memory overhead %.1f%%, introspection overhead %.1f%% (budget %.1f%%), "+
 		"trace overhead %.1f%% (budget %.1f%%), file-backed overhead %.1f%% (budget %.1f%%); "+
 		"file-backed allocs/op off=%d on=%d (baseline %d/%d, slack %.2f)%s\n",
 		measured.OverheadP, measured.IntroOverP, *maxIntrospect,
@@ -242,4 +256,5 @@ func main() {
 		measured.File.OverheadP, *maxOverhead,
 		measured.File.Off.AllocsPerOp, measured.File.On.AllocsPerOp,
 		baseline.File.Off.AllocsPerOp, baseline.File.On.AllocsPerOp, *allocSlack, shardNote)
+	return 0
 }

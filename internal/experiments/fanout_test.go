@@ -8,7 +8,9 @@ import (
 	"jouppi/internal/cache"
 	"jouppi/internal/core"
 	"jouppi/internal/fanout"
+	"jouppi/internal/hierarchy"
 	"jouppi/internal/memtrace"
+	"jouppi/internal/shardreplay"
 )
 
 // TestReplayGroupMatchesSequentialHelpers pins the rewiring's bit-identity
@@ -62,5 +64,38 @@ func TestRunAllRelaysConsumerPanic(t *testing.T) {
 	}
 	if r.Stack == "" {
 		t.Error("failed result lost the consumer stack")
+	}
+}
+
+// shardBomb is a shard sink that panics on its first access.
+type shardBomb struct{}
+
+func (shardBomb) Access(memtrace.Access) { panic("boom") }
+
+// TestRunAllRelaysShardPanic checks that a panic inside a sharded
+// replay's shard surfaces as a failed Result carrying the shard
+// goroutine's own stack — the frames of the sink that panicked — not
+// the stack of the frame that relayed it.
+func TestRunAllRelaysShardPanic(t *testing.T) {
+	exp := Experiment{ID: "boom", Title: "panicking shard", Run: func(cfg Config) *Result {
+		dec := shardreplay.PlanHierarchy(hierarchy.Config{}, 2)
+		tr := cfg.Traces.Get("ccom")
+		_ = shardreplay.New(shardreplay.Config{}).Replay(context.Background(), tr.Source(),
+			dec.Partition(), []memtrace.Sink{shardBomb{}, memtrace.SinkFunc(func(memtrace.Access) {})})
+		return &Result{ID: "boom"}
+	}}
+	out, err := RunAll(context.Background(), smallCfg(), RunOptions{Experiments: []Experiment{exp}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 {
+		t.Fatalf("got %d results, want 1", len(out))
+	}
+	r := out[0]
+	if !strings.Contains(r.Err, "0 panicked: boom") {
+		t.Errorf("Err = %q, want the relayed shard panic", r.Err)
+	}
+	if !strings.Contains(r.Stack, "shardBomb") {
+		t.Errorf("Stack lacks the panicking shard's frames:\n%s", r.Stack)
 	}
 }

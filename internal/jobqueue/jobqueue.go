@@ -603,9 +603,6 @@ func (q *Queue) finish(job *Job, state State, errText string, body []byte) {
 		"state", string(state), "attempts", attempts,
 		"elapsed_s", elapsed.Seconds(), "err", errText)
 
-	job.events.Close()
-	close(job.done)
-
 	q.mu.Lock()
 	if q.byKey[job.key] == job {
 		delete(q.byKey, job.key)
@@ -624,6 +621,13 @@ func (q *Queue) finish(job *Job, state State, errText string, body []byte) {
 		q.tel.retries.Add(uint64(attempts - 1))
 	}
 	q.tel.duration.Observe(elapsed.Seconds())
+
+	// Wake waiters last, once everything they can observe is settled: a
+	// client that resubmits when Wait returns must reach the store (a
+	// cache hit), not join this finished job, and the job's metrics
+	// must already count it.
+	job.events.Close()
+	close(job.done)
 }
 
 // DrainSummary reports what a drain did.

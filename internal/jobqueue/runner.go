@@ -93,10 +93,11 @@ type Runner func(ctx context.Context, spec *Spec, version string) (*ResultBody, 
 
 // DefaultRunner simulates the job for real: benchmark jobs fan out
 // through the single-pass replay engine (the workload is generated
-// once, every configuration consumes the same stream); uploaded traces
-// are decoded once — strictly, or leniently with a drop budget — and
-// then replayed through each configuration. Cancellation is honoured
-// between accesses on every path.
+// once, every configuration's shards consume the same stream); uploaded
+// traces are decoded once — strictly, or leniently with a drop budget —
+// and then replayed through each configuration on up to spec.Shards
+// shards (one shard replays inline). Cancellation is honoured between
+// chunks on every path.
 func DefaultRunner(ctx context.Context, spec *Spec, version string) (*ResultBody, error) {
 	body := &ResultBody{
 		Version:     version,
@@ -105,26 +106,15 @@ func DefaultRunner(ctx context.Context, spec *Spec, version string) (*ResultBody
 		TraceDigest: spec.TraceDigest(),
 	}
 	if spec.Benchmark != "" {
-		// With Shards > 1 each configuration replays on its own sharded
-		// system (intra-config parallelism); otherwise all configurations
-		// share one generated stream through the fan-out engine
-		// (inter-config parallelism). Same numbers either way — sharded
-		// replay is bit-identical or falls back.
-		if spec.Shards > 1 {
-			for _, c := range spec.Configs {
-				r, _, err := sim.ReplayShardedContext(ctx, spec.Benchmark, spec.Scale, spec.Shards, nil, c.Config)
-				if err != nil {
-					return nil, err
-				}
-				body.Configs = append(body.Configs, ConfigResult{Label: c.Label, Results: r})
-			}
-			return body, nil
-		}
+		// One generated stream feeds every configuration, each on up to
+		// spec.Shards set-partitioned shards: configs × shards fan-out
+		// consumers in one pass. Same numbers at every shard count —
+		// sharded replay is bit-identical or falls back.
 		cfgs := make([]sim.Config, len(spec.Configs))
 		for i, c := range spec.Configs {
 			cfgs[i] = c.Config
 		}
-		results, err := sim.ReplayManyContext(ctx, spec.Benchmark, spec.Scale, nil, cfgs)
+		results, err := sim.ReplayManyContext(ctx, spec.Benchmark, spec.Scale, spec.Shards, nil, cfgs)
 		if err != nil {
 			return nil, err
 		}
@@ -154,45 +144,21 @@ func DefaultRunner(ctx context.Context, spec *Spec, version string) (*ResultBody
 	}
 	for _, c := range spec.Configs {
 		_, csp := trace.Start(ctx, "replay", trace.String("config", c.Label))
-		if spec.Shards > 1 {
-			ssys, err := sim.NewShardedSystem(c.Config, spec.Shards)
-			if err != nil {
-				csp.End()
-				return nil, Permanent(fmt.Errorf("jobqueue: config %q: %w", c.Label, err))
-			}
-			csp.SetAttr("shards", fmt.Sprint(ssys.Info().Shards))
-			if err := ssys.ReplaySource(ctx, tr.Source()); err != nil {
-				csp.SetAttr("err", err.Error())
-				csp.End()
-				return nil, err
-			}
-			csp.End()
-			body.Configs = append(body.Configs, ConfigResult{Label: c.Label, Results: ssys.Results()})
-			continue
-		}
-		sys, err := sim.NewSystem(c.Config)
+		ssys, err := sim.NewShardedSystem(c.Config, spec.Shards)
 		if err != nil {
 			csp.End()
 			// Configs are validated at submission; reaching this means a
 			// bug, but it is still not retryable.
 			return nil, Permanent(fmt.Errorf("jobqueue: config %q: %w", c.Label, err))
 		}
-		if err := memtrace.EachContext(ctx, tr.Source(), func(a memtrace.Access) {
-			switch a.Kind {
-			case memtrace.Ifetch:
-				sys.Ifetch(uint64(a.Addr))
-			case memtrace.Load:
-				sys.Load(uint64(a.Addr))
-			case memtrace.Store:
-				sys.Store(uint64(a.Addr))
-			}
-		}); err != nil {
+		csp.SetAttr("shards", fmt.Sprint(ssys.Info().Shards))
+		if err := ssys.ReplaySource(ctx, tr.Source()); err != nil {
 			csp.SetAttr("err", err.Error())
 			csp.End()
 			return nil, err
 		}
 		csp.End()
-		body.Configs = append(body.Configs, ConfigResult{Label: c.Label, Results: sys.Results()})
+		body.Configs = append(body.Configs, ConfigResult{Label: c.Label, Results: ssys.Results()})
 	}
 	return body, nil
 }

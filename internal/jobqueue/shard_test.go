@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"jouppi/internal/trace"
 )
 
 // TestSpecShardsValidation pins the accepted shard range: 0 (default,
@@ -132,5 +134,69 @@ func TestRunnerShardedCancellation(t *testing.T) {
 	cancel()
 	if _, err := DefaultRunner(ctx, spec, "test"); err == nil {
 		t.Fatal("cancelled sharded run succeeded")
+	}
+}
+
+// TestRunnerShardedMultiConfigBenchmark runs a two-config benchmark job
+// sharded: one generated stream feeds both configurations' shards in a
+// single pass (one replay span, one consumer span per shard). Its
+// result must be byte-identical to the unsharded job's and share its
+// cache key.
+func TestRunnerShardedMultiConfigBenchmark(t *testing.T) {
+	cfgs, err := ParseConfigs("line=32;assoc=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &Spec{Benchmark: "ccom", Scale: 0.05, Configs: cfgs, Retries: -1}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := DefaultRunner(context.Background(), spec, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := spec.CacheKey("test")
+
+	const shards = 4
+	spec.Shards = shards
+	tr := trace.New(trace.Options{})
+	root := tr.Root("job", "sharded-multi", nil)
+	sharded, err := DefaultRunner(trace.ContextWith(context.Background(), root), spec, "test")
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.CacheKey("test") != key {
+		t.Error("sharding changed the cache key")
+	}
+	seqBytes, err := seq.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardedBytes, err := sharded.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(seqBytes) != string(shardedBytes) {
+		t.Errorf("sharded two-config result diverged\n--- sequential ---\n%s--- sharded ---\n%s",
+			seqBytes, shardedBytes)
+	}
+
+	td, ok := tr.TraceByID("sharded-multi")
+	if !ok {
+		t.Fatal("no trace retained")
+	}
+	var replays, consumers int
+	for _, s := range td.Spans {
+		switch s.Name {
+		case "replay":
+			replays++
+		case "consumer":
+			consumers++
+		}
+	}
+	if replays != 1 || consumers != len(cfgs)*shards {
+		t.Errorf("got %d replay spans and %d consumer spans, want 1 pass over %d consumers",
+			replays, consumers, len(cfgs)*shards)
 	}
 }

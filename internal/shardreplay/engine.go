@@ -4,364 +4,131 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
+	"jouppi/internal/fanout"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/telemetry"
-	"jouppi/internal/trace"
 )
 
 // ErrNilShard reports a Replay handed a nil shard sink.
 var ErrNilShard = errors.New("shardreplay: nil shard sink")
 
-// ShardPanic wraps a panic raised inside a shard goroutine. The engine
-// records the first one, stops producing, lets the surviving shards
-// drain their queued batches, and then re-panics the wrapped value on
-// the caller's goroutine — the same relay contract as fanout's
-// ConsumerPanic.
-type ShardPanic struct {
-	Shard int    // index of the panicking shard in the Replay call
-	Val   any    // the recovered panic value
-	Stack []byte // stack of the shard goroutine at panic time
-}
+// Config sizes the fan-out engine a sharded pass runs on. The zero
+// value selects fan-out's defaults, except that a pass with shards on it
+// keeps a smaller window (shardRing) when Ring is zero.
+type Config = fanout.Config
 
-// Error makes the relayed panic presentable when a recovering caller
-// formats it as a failure.
-func (p *ShardPanic) Error() string {
-	return fmt.Sprintf("shardreplay: shard %d panicked: %v", p.Shard, p.Val)
-}
+// shardRing is the per-consumer chunk window of a pass with shards on
+// it. Every shard holds each broadcast chunk until it has filtered it,
+// so the chunks a pass allocates grow with the window: with fan-out's
+// default of 8 a two-shard file replay allocated about a fifth more per
+// access than with 4, and 4 cost no throughput.
+const shardRing = 4
 
-// Config sizes the engine. The zero value selects the defaults.
-type Config struct {
-	// ChunkSize is the producer's pull granularity from the source
-	// (bulk-decoded through memtrace.ChunkSource when supported).
-	// Defaults to 4096, the streaming workload source's own granularity.
-	ChunkSize int
-	// Batch is the per-shard hand-off granularity: the producer routes
-	// accesses into one pending batch per shard and sends a batch when
-	// it fills (or at end of stream). Defaults to 1024 — large enough to
-	// amortize channel operations, small enough to keep shards busy on
-	// skewed partitions.
-	Batch int
-	// Ring is the per-shard bound on in-flight batches. The producer
-	// blocks once the slowest shard falls Ring batches behind, so memory
-	// is O(Shards × Ring × Batch) regardless of trace length. Defaults
-	// to 8.
-	Ring int
-}
-
-const (
-	defaultChunkSize = 4096
-	defaultBatch     = 1024
-	defaultRing      = 8
-)
-
-func (c Config) withDefaults() Config {
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = defaultChunkSize
-	}
-	if c.Batch <= 0 {
-		c.Batch = defaultBatch
-	}
-	if c.Ring <= 0 {
-		c.Ring = defaultRing
-	}
-	return c
-}
-
-// Engine replays one trace pass partitioned across shard sinks. The
-// zero value is usable; New applies defaults eagerly. An Engine is
-// reusable across Replay calls but not concurrently.
+// Engine replays trace passes partitioned across shards. A shard is one
+// fan-out consumer: it walks the shared broadcast chunks and keeps only
+// the records its partition owns, so the fan-out engine's backpressure,
+// cancellation and panic relay (*fanout.ConsumerPanic, carrying the
+// shard goroutine's own stack) are the sharded replay's too. The zero
+// value is usable. An Engine is reusable across Replay calls but not
+// concurrently.
 type Engine struct {
 	cfg Config
 	reg *telemetry.Registry
-
-	// Metrics are nil (and every operation a no-op) until
-	// AttachTelemetry is called with a non-nil registry.
-	chunks  *telemetry.Counter
-	records *telemetry.Counter
-	shards  *telemetry.Gauge
-	depth   *telemetry.Gauge
-	lag     []*telemetry.Gauge
 }
 
-// New returns an engine with cfg's zero fields defaulted.
-func New(cfg Config) *Engine { return &Engine{cfg: cfg.withDefaults()} }
+// New returns an engine sized by cfg.
+func New(cfg Config) *Engine { return &Engine{cfg: cfg} }
 
-// AttachTelemetry registers the engine's metrics on reg: counters for
-// chunks pulled and records routed, a gauge for the shard count of the
-// current replay, a gauge for the deepest per-shard batch backlog, and
-// one lag gauge per shard slot. A nil registry detaches (every metric
-// update becomes a no-op).
-func (e *Engine) AttachTelemetry(reg *telemetry.Registry) {
-	e.reg = reg
-	e.lag = nil
-	if reg == nil {
-		e.chunks, e.records, e.shards, e.depth = nil, nil, nil, nil
-		return
-	}
-	e.chunks = reg.Counter("shardreplay_chunks_total", "trace chunks pulled by the sharded-replay producer")
-	e.records = reg.Counter("shardreplay_records_total", "trace records routed to shards")
-	e.shards = reg.Gauge("shardreplay_shards", "shards of the current sharded replay")
-	e.depth = reg.Gauge("shardreplay_depth", "deepest per-shard batch backlog at last send")
-}
-
-// lagGauge returns the lag gauge for shard slot i, creating it on first
-// use (producer goroutine only). Lag is measured in batches queued
-// ahead of the shard.
-func (e *Engine) lagGauge(i int) *telemetry.Gauge {
-	if e.reg == nil {
-		return nil
-	}
-	for len(e.lag) <= i {
-		e.lag = append(e.lag, e.reg.Gauge(
-			fmt.Sprintf("shardreplay_shard_lag_%d", len(e.lag)),
-			fmt.Sprintf("batch backlog of replay shard %d", len(e.lag))))
-	}
-	return e.lag[i]
-}
-
-// chunkFiller returns the bulk-fill function for src: the source's own
-// NextChunk when it implements memtrace.ChunkSource, otherwise a
-// per-record fallback with the same contract (short fill only at end of
-// stream).
-func chunkFiller(src memtrace.Source) func(dst []memtrace.Access) int {
-	if cs, ok := src.(memtrace.ChunkSource); ok {
-		return cs.NextChunk
-	}
-	return func(dst []memtrace.Access) int { return memtrace.FillChunk(src, dst) }
-}
+// AttachTelemetry publishes the fan-out engine's metrics on reg
+// (fanout_chunks_total, fanout_records_total, fanout_consumers,
+// fanout_broadcast_depth, fanout_consumer_lag_*); a shard counts as one
+// consumer. A nil registry detaches.
+func (e *Engine) AttachTelemetry(reg *telemetry.Registry) { e.reg = reg }
 
 // Replay pulls every record from src exactly once and delivers it to
 // the shard p assigns it to, preserving the stream's relative order
 // within each shard. It returns ctx's error if the context is cancelled
 // mid-stream (shards may then have seen a prefix of their sub-streams),
-// and re-panics a *ShardPanic if any shard sink panics. With a single
-// shard the replay runs inline on the caller's goroutine.
-func (e *Engine) Replay(ctx context.Context, src memtrace.Source, p Partition, shards []memtrace.Sink) error {
-	if src == nil {
-		return memtrace.ErrNilSource
-	}
-	for _, s := range shards {
+// and re-panics a *fanout.ConsumerPanic if any shard sink panics. With a
+// single shard the replay runs inline on the caller's goroutine.
+func (e *Engine) Replay(ctx context.Context, src memtrace.Source, p Partition, sinks []memtrace.Sink) error {
+	for _, s := range sinks {
 		if s == nil {
 			return ErrNilShard
 		}
 	}
-	if len(shards) > 1 && p.Shards() != len(shards) {
-		return fmt.Errorf("shardreplay: partition routes to %d shards, got %d sinks", p.Shards(), len(shards))
+	if len(sinks) > 1 && p.Shards() != len(sinks) {
+		return fmt.Errorf("shardreplay: partition routes to %d shards, got %d sinks", p.Shards(), len(sinks))
 	}
-	if e.shards != nil {
-		e.shards.Set(int64(len(shards)))
-	}
-	switch len(shards) {
-	case 0:
-		return nil
-	case 1:
-		return e.replayInline(ctx, src, shards[0])
-	}
-	return e.replaySharded(ctx, src, p, shards)
+	return e.replay(ctx, src, consumers(p, sinks))
 }
 
-// replayInline is the single-shard fast path: no goroutines, no
-// routing, just one reused chunk buffer filled in bulk and drained with
-// periodic cancellation polls — the exact sequential replay.
-func (e *Engine) replayInline(ctx context.Context, src memtrace.Source, sink memtrace.Sink) error {
-	cfg := e.cfg.withDefaults()
-	fill := chunkFiller(src)
-	buf := make([]memtrace.Access, cfg.ChunkSize)
-	done := ctx.Done()
-	for {
-		n := fill(buf)
-		if n == 0 {
-			return nil
+// ReplayHierarchies pulls src dry once through every hierarchy: one
+// fan-out pass whose consumers are every hierarchy's shards (configs ×
+// shards), or its one replica on the fallback path. The shard
+// goroutines are done at return, so each system's telemetry remainder
+// is flushed from the caller's goroutine and the registry is exact.
+func (e *Engine) ReplayHierarchies(ctx context.Context, src memtrace.Source, hs ...*Hierarchy) error {
+	var cs []fanout.Consumer
+	for _, h := range hs {
+		sinks := make([]memtrace.Sink, len(h.systems))
+		for i, s := range h.systems {
+			sinks[i] = s
 		}
-		if done != nil {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
+		cs = append(cs, consumers(h.part, sinks)...)
+	}
+	err := e.replay(ctx, src, cs)
+	for _, h := range hs {
+		for _, s := range h.systems {
+			s.FlushTelemetry()
 		}
-		for _, a := range buf[:n] {
-			sink.Access(a)
-		}
-		e.countChunk(n)
-		if n < cfg.ChunkSize {
-			return nil // short fill: source exhausted
-		}
-	}
-}
-
-// batch is one pooled per-shard buffer. Unlike fanout's sharedChunk it
-// has exactly one consumer, so no reference count is needed: the shard
-// that receives it returns it to the pool.
-type batch struct{ buf []memtrace.Access }
-
-// replaySharded is the multi-shard path: one producer goroutine (the
-// caller's) pulls chunks and routes each access into its shard's
-// pending batch; full batches travel over bounded per-shard channels to
-// shard goroutines that replay them in order. Batch buffers are pooled,
-// so steady-state routing allocates nothing.
-func (e *Engine) replaySharded(ctx context.Context, src memtrace.Source, p Partition, shards []memtrace.Sink) error {
-	cfg := e.cfg.withDefaults()
-	chans := make([]chan *batch, len(shards))
-	for i := range chans {
-		chans[i] = make(chan *batch, cfg.Ring)
-	}
-	pool := &sync.Pool{New: func() any {
-		return &batch{buf: make([]memtrace.Access, 0, cfg.Batch)}
-	}}
-
-	// abort is closed by the first panicking shard; panicOnce guards the
-	// recorded ShardPanic. A panicking shard drains its own channel so
-	// the producer can never deadlock against it.
-	abort := make(chan struct{})
-	var panicOnce sync.Once
-	var relayed *ShardPanic
-
-	var wg sync.WaitGroup
-	wg.Add(len(shards))
-	for i, sink := range shards {
-		go func(i int, sink memtrace.Sink, ch chan *batch) {
-			defer wg.Done()
-			// One span per shard goroutine: sibling spans closing from
-			// sibling goroutines is what the span system's concurrency
-			// contract covers. Detached (no span in ctx) this is a single
-			// context lookup per replay.
-			_, ssp := trace.Start(ctx, "shard", trace.Int("shard", i))
-			defer ssp.End()
-			defer func() {
-				if v := recover(); v != nil {
-					panicOnce.Do(func() {
-						relayed = &ShardPanic{Shard: i, Val: v, Stack: stack()}
-						close(abort)
-					})
-					// Keep draining so the producer's send to this channel
-					// cannot block while it reacts to abort.
-					for b := range ch {
-						b.buf = b.buf[:0]
-						pool.Put(b)
-					}
-				}
-			}()
-			for b := range ch {
-				for _, a := range b.buf {
-					sink.Access(a)
-				}
-				b.buf = b.buf[:0]
-				pool.Put(b)
-			}
-		}(i, sink, chans[i])
-	}
-
-	err := e.produce(ctx, src, p, chans, pool, abort, cfg)
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
-	if relayed != nil {
-		panic(relayed)
 	}
 	return err
 }
 
-// errAborted is produce's internal signal that a shard panicked; the
-// relayed panic carries the real failure, so Replay reports nil.
-var errAborted = errors.New("shardreplay: aborted")
-
-// produce pulls chunks from src and routes each access into its shard's
-// pending batch, sending batches as they fill (backpressure when a
-// shard's window is full) and flushing the stragglers at end of stream.
-func (e *Engine) produce(ctx context.Context, src memtrace.Source, p Partition,
-	chans []chan *batch, pool *sync.Pool, abort <-chan struct{}, cfg Config) error {
-	done := ctx.Done()
-	fill := chunkFiller(src)
-	chunk := make([]memtrace.Access, cfg.ChunkSize)
-	pending := make([]*batch, len(chans))
-	for i := range pending {
-		pending[i] = pool.Get().(*batch)
+// consumers wraps sinks as fan-out consumers: a lone sink sees the whole
+// stream, and each of several sees only the records p routes to it.
+func consumers(p Partition, sinks []memtrace.Sink) []fanout.Consumer {
+	if len(sinks) == 1 {
+		return []fanout.Consumer{fanout.Sink(sinks[0])}
 	}
-	send := func(i int) error {
-		if e.reg != nil {
-			e.observeLag(chans)
-		}
-		select {
-		case chans[i] <- pending[i]:
-			pending[i] = pool.Get().(*batch)
-			return nil
-		case <-abort:
-			return errAborted
-		case <-done:
-			return ctx.Err()
-		}
+	cs := make([]fanout.Consumer, len(sinks))
+	for i, s := range sinks {
+		cs[i] = shard{p: p, i: i, sink: s}
 	}
-	for {
-		n := fill(chunk)
-		if n == 0 {
-			break
-		}
-		if done != nil {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		for _, a := range chunk[:n] {
-			s := p.ShardOf(a.Addr)
-			b := pending[s]
-			b.buf = append(b.buf, a)
-			if len(b.buf) == cfg.Batch {
-				if err := send(s); err != nil {
-					if err == errAborted {
-						return nil
-					}
-					return err
-				}
-			}
-		}
-		e.countChunk(n)
-		if n < cfg.ChunkSize {
-			break
-		}
-	}
-	for i := range pending {
-		if len(pending[i].buf) == 0 {
-			continue
-		}
-		if err := send(i); err != nil {
-			if err == errAborted {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
+	return cs
 }
 
-// countChunk advances the routing counters (no-ops when detached).
-func (e *Engine) countChunk(records int) {
-	e.chunks.Inc()
-	e.records.Add(uint64(records))
-}
-
-// observeLag records every shard's current backlog and the maximum
-// across shards. Called only when telemetry is attached.
-func (e *Engine) observeLag(chans []chan *batch) {
-	max := 0
-	for j, ch := range chans {
-		n := len(ch)
-		if n > max {
-			max = n
+// replay runs one fan-out pass, in the smaller shard window when any
+// consumer is a shard.
+func (e *Engine) replay(ctx context.Context, src memtrace.Source, cs []fanout.Consumer) error {
+	cfg := e.cfg
+	if cfg.Ring <= 0 {
+		for _, c := range cs {
+			if _, ok := c.(shard); ok {
+				cfg.Ring = shardRing
+				break
+			}
 		}
-		e.lagGauge(j).Set(int64(n))
 	}
-	e.depth.Set(int64(max))
+	eng := fanout.New(cfg)
+	eng.AttachTelemetry(e.reg)
+	return eng.Replay(ctx, src, cs...)
 }
 
-// stack captures the current goroutine's stack for panic relay.
-func stack() []byte {
-	buf := make([]byte, 64<<10)
-	return buf[:runtime.Stack(buf, false)]
+// shard is one filtered fan-out consumer: it replays, in order, the
+// records of each chunk that its partition slot owns.
+type shard struct {
+	p    Partition
+	i    int
+	sink memtrace.Sink
+}
+
+func (s shard) Consume(chunk []memtrace.Access) {
+	for _, a := range chunk {
+		if s.p.ShardOf(a.Addr) == s.i {
+			s.sink.Access(a)
+		}
+	}
 }

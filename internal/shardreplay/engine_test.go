@@ -1,8 +1,8 @@
 package shardreplay_test
 
 // Engine-level tests: argument validation, the inline fast path, the
-// multi-shard pipeline, cancellation on both paths, panic relay, and
-// the routing telemetry. These exercise the machinery the differential
+// multi-shard pass, cancellation on both paths, panic relay, and the
+// fan-out telemetry. These exercise the machinery the differential
 // suite relies on, with synthetic sinks instead of cache systems.
 
 import (
@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"jouppi/internal/fanout"
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/shardreplay"
@@ -76,7 +77,7 @@ func TestReplayRoutesEveryRecordOnce(t *testing.T) {
 	tr := synthTrace(n)
 	p := basePartition(t, 3)
 	sinks := []*collector{{}, {}, {}}
-	eng := shardreplay.New(shardreplay.Config{ChunkSize: 256, Batch: 64, Ring: 2})
+	eng := shardreplay.New(shardreplay.Config{ChunkSize: 256, Ring: 2})
 	if err := eng.Replay(context.Background(), tr.Source(),
 		p, []memtrace.Sink{sinks[0], sinks[1], sinks[2]}); err != nil {
 		t.Fatal(err)
@@ -118,7 +119,7 @@ func TestReplayInlineSingleShard(t *testing.T) {
 }
 
 // slowSource trickles records one at a time (not a ChunkSource), also
-// covering the per-record chunkFiller fallback.
+// covering fan-out's per-record fill fallback.
 type slowSource struct {
 	recs []memtrace.Access
 	i    int
@@ -139,7 +140,7 @@ func TestReplayPlainSourceFallback(t *testing.T) {
 	tr.Each(func(a memtrace.Access) { src.recs = append(src.recs, a) })
 	p := basePartition(t, 2)
 	a, b := &collector{}, &collector{}
-	eng := shardreplay.New(shardreplay.Config{ChunkSize: 128, Batch: 32})
+	eng := shardreplay.New(shardreplay.Config{ChunkSize: 128})
 	if err := eng.Replay(context.Background(), src, p, []memtrace.Sink{a, b}); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestReplayCancellationUnderBackpressure(t *testing.T) {
 	tr := synthTrace(200_000)
 	p := basePartition(t, 2)
 	blocked := &blockingSink{release: make(chan struct{})}
-	eng := shardreplay.New(shardreplay.Config{ChunkSize: 256, Batch: 16, Ring: 1})
+	eng := shardreplay.New(shardreplay.Config{ChunkSize: 256, Ring: 1})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var err error
@@ -204,12 +205,12 @@ func (s *panicSink) Access(memtrace.Access) {
 func TestReplayShardPanicRelay(t *testing.T) {
 	tr := synthTrace(50_000)
 	p := basePartition(t, 2)
-	eng := shardreplay.New(shardreplay.Config{ChunkSize: 256, Batch: 32, Ring: 2})
+	eng := shardreplay.New(shardreplay.Config{ChunkSize: 256, Ring: 2})
 	defer func() {
 		v := recover()
-		sp, ok := v.(*shardreplay.ShardPanic)
+		sp, ok := v.(*fanout.ConsumerPanic)
 		if !ok {
-			t.Fatalf("recovered %T %v, want *ShardPanic", v, v)
+			t.Fatalf("recovered %T %v, want *fanout.ConsumerPanic", v, v)
 		}
 		if sp.Val != "boom" {
 			t.Errorf("relayed value %v", sp.Val)
@@ -230,23 +231,23 @@ func TestEngineTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := synthTrace(20_000)
 	p := basePartition(t, 2)
-	eng := shardreplay.New(shardreplay.Config{ChunkSize: 256, Batch: 32, Ring: 2})
+	eng := shardreplay.New(shardreplay.Config{ChunkSize: 256, Ring: 2})
 	eng.AttachTelemetry(reg)
 	if err := eng.Replay(context.Background(), tr.Source(), p,
 		[]memtrace.Sink{&collector{}, &collector{}}); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if got := snap["shardreplay_records_total"]; got != float64(tr.Len()) {
+	if got := snap["fanout_records_total"]; got != float64(tr.Len()) {
 		t.Errorf("records_total = %v, want %d", got, tr.Len())
 	}
-	if snap["shardreplay_chunks_total"] == 0 {
+	if snap["fanout_chunks_total"] == 0 {
 		t.Error("chunks_total stayed zero")
 	}
-	if got := snap["shardreplay_shards"]; got != 2 {
+	if got := snap["fanout_consumers"]; got != 2 {
 		t.Errorf("shards gauge = %v, want 2", got)
 	}
-	if _, ok := snap["shardreplay_shard_lag_0"]; !ok {
+	if _, ok := snap["fanout_consumer_lag_0"]; !ok {
 		t.Error("no per-shard lag gauge registered")
 	}
 	// Detach: the engine must run metric-free again.
@@ -255,7 +256,49 @@ func TestEngineTelemetry(t *testing.T) {
 		[]memtrace.Sink{&collector{}, &collector{}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Snapshot()["shardreplay_records_total"]; got != float64(tr.Len()) {
+	if got := reg.Snapshot()["fanout_records_total"]; got != float64(tr.Len()) {
 		t.Errorf("detached engine still published: %v", got)
+	}
+}
+
+// TestReplayHierarchiesOnePass pins the configs × shards pass: several
+// hierarchies — sharded at different counts and one on the fallback
+// path — replay one stream together, each bit-identical to its own
+// sequential replay, with one fan-out consumer per effective shard.
+func TestReplayHierarchiesOnePass(t *testing.T) {
+	tr := diffTrace(t, "ccom")
+	victim := hierarchy.Config{DAugment: hierarchy.Augment{Kind: hierarchy.VictimCache, Entries: 4}}
+	cases := []struct {
+		cfg    hierarchy.Config
+		shards int
+	}{{hierarchy.Config{}, 4}, {victim, 4}, {hierarchy.Config{}, 3}}
+	hs := make([]*shardreplay.Hierarchy, len(cases))
+	consumers := 0
+	for i, c := range cases {
+		h, err := shardreplay.NewHierarchy(c.cfg, c.shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs[i] = h
+		consumers += h.Shards()
+	}
+	if consumers != 4+1+3 {
+		t.Fatalf("effective shards %d, want the victim config to fall back to 1", consumers)
+	}
+	reg := telemetry.NewRegistry()
+	eng := shardreplay.New(shardreplay.Config{})
+	eng.AttachTelemetry(reg)
+	if err := eng.ReplayHierarchies(context.Background(), tr.Source(), hs...); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cases {
+		requireBitIdentical(t, replaySequential(t, c.cfg, tr), hs[i].Results(tr.Instructions()))
+	}
+	snap := reg.Snapshot()
+	if got := snap["fanout_consumers"]; got != float64(consumers) {
+		t.Errorf("fanout_consumers = %v, want %d", got, consumers)
+	}
+	if got := snap["fanout_records_total"]; got != float64(tr.Len()) {
+		t.Errorf("fanout_records_total = %v, want one pass of %d", got, tr.Len())
 	}
 }

@@ -46,7 +46,7 @@ func NewFrontEnds(cc cache.Config, requested int, build func() (core.FrontEnd, e
 // Decision returns the plan the replica set was built from.
 func (f *FrontEnds) Decision() Decision { return f.dec }
 
-// AttachTelemetry attaches the routing engine's metrics to reg (the
+// AttachTelemetry attaches the fan-out engine's metrics to reg (the
 // replicas' own stats are single-owner structs; callers publish them
 // after the replay, when the shard goroutines are done). A nil registry
 // detaches. Attach before the replay starts.

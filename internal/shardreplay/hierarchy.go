@@ -9,8 +9,8 @@ import (
 )
 
 // Hierarchy is a sharded two-level system: K independent
-// hierarchy.System replicas, each receiving exactly the accesses that
-// touch its slice of the sets, plus the engine that routes the stream.
+// hierarchy.System replicas, each a fan-out consumer keeping exactly the
+// accesses that touch its slice of the sets.
 // When the configuration cannot shard (Decision.Fallback) it degrades
 // to one replica replayed sequentially — same numbers, one core.
 type Hierarchy struct {
@@ -25,13 +25,8 @@ type Hierarchy struct {
 // requested parallelism; the effective count (and any fallback reason)
 // is in Decision.
 func NewHierarchy(cfg hierarchy.Config, shards int) (*Hierarchy, error) {
-	return NewHierarchyEngine(cfg, shards, Config{})
-}
-
-// NewHierarchyEngine is NewHierarchy with explicit engine sizing.
-func NewHierarchyEngine(cfg hierarchy.Config, shards int, ecfg Config) (*Hierarchy, error) {
 	dec := PlanHierarchy(cfg, shards)
-	h := &Hierarchy{cfg: cfg, dec: dec, eng: New(ecfg)}
+	h := &Hierarchy{cfg: cfg, dec: dec, eng: New(Config{})}
 	h.systems = make([]*hierarchy.System, dec.Shards)
 	for i := range h.systems {
 		sys, err := hierarchy.New(cfg)
@@ -61,7 +56,7 @@ func (h *Hierarchy) Shards() int { return len(h.systems) }
 // cover only that shard's sub-stream.
 func (h *Hierarchy) Systems() []*hierarchy.System { return h.systems }
 
-// AttachTelemetry attaches every shard system and the routing engine to
+// AttachTelemetry attaches every shard system and the fan-out engine to
 // reg. Registry counters are name-idempotent, so the K shard systems
 // share one counter set; each publishes its own deltas under the
 // delta-publication discipline (per-system snapshots, atomic adds), and
@@ -75,23 +70,10 @@ func (h *Hierarchy) AttachTelemetry(reg *telemetry.Registry) {
 }
 
 // Replay pulls src dry through the sharded system (or through the one
-// replica, sequentially, on the fallback path). It returns ctx's error
-// on cancellation and re-panics a *ShardPanic if a shard dies.
+// replica, inline, on the fallback path). It returns ctx's error on
+// cancellation and re-panics a *fanout.ConsumerPanic if a shard dies.
 func (h *Hierarchy) Replay(ctx context.Context, src memtrace.Source) error {
-	if !h.dec.Sharded() {
-		return h.systems[0].RunSourceContext(ctx, src)
-	}
-	sinks := make([]memtrace.Sink, len(h.systems))
-	for i, s := range h.systems {
-		sinks[i] = s
-	}
-	err := h.eng.Replay(ctx, src, h.part, sinks)
-	// The shard goroutines are done; flush their telemetry remainders
-	// from this goroutine so the registry is exact at return.
-	for _, s := range h.systems {
-		s.FlushTelemetry()
-	}
-	return err
+	return h.eng.ReplayHierarchies(ctx, src, h)
 }
 
 // Results merges the per-shard counters into the results of the

@@ -41,6 +41,7 @@ type Partition struct {
 	shift uint
 	mask  uint64
 	k     uint64
+	m     uint64 // ⌈2^64/k⌉, the reciprocal ShardOf multiplies by
 }
 
 // Shards returns the number of shards the partition routes to.
@@ -49,8 +50,16 @@ func (p Partition) Shards() int { return int(p.k) }
 // ShardOf returns the shard owning addr's sets. Addresses with equal
 // common-field bits land in the same shard; addresses with different
 // common-field bits can never share a set in any cache of the plan.
+//
+// The shard is the field value modulo the shard count, computed by
+// multiplication (Lemire, Kaser and Kurz, "Faster remainder by direct
+// computation", 2019) because every shard consumer evaluates it on every
+// record. It equals v % k exactly for fields below 2^32; wider fields,
+// which only caches of more than 2^32 sets have, still map each field
+// value to one shard in [0, k), which is all set ownership needs.
 func (p Partition) ShardOf(addr memtrace.Addr) int {
-	return int(((uint64(addr) >> p.shift) & p.mask) % p.k)
+	hi, _ := bits.Mul64(p.m*((uint64(addr)>>p.shift)&p.mask), p.k)
+	return int(hi)
 }
 
 // Decision is the outcome of planning a sharded replay for one
@@ -81,7 +90,8 @@ func (d Decision) Partition() Partition {
 	if !d.Sharded() {
 		panic("shardreplay: Partition on a non-sharded Decision")
 	}
-	return Partition{shift: d.FieldShift, mask: 1<<d.FieldWidth - 1, k: uint64(d.Shards)}
+	k := uint64(d.Shards)
+	return Partition{shift: d.FieldShift, mask: 1<<d.FieldWidth - 1, k: k, m: ^uint64(0)/k + 1}
 }
 
 // log2 of a positive power of two.

@@ -18,8 +18,8 @@ import (
 )
 
 // simSnapshot filters a registry snapshot down to the simulation
-// counters (dropping the engine's own shardreplay_* routing metrics,
-// which have no sequential counterpart).
+// counters (dropping the engine's own fanout_* metrics, which have no
+// sequential counterpart).
 func simSnapshot(reg *telemetry.Registry) map[string]float64 {
 	out := map[string]float64{}
 	for name, v := range reg.Snapshot() {
@@ -72,9 +72,9 @@ func TestShardedTelemetryExactness(t *testing.T) {
 			t.Errorf("%s: sharded-only sim metric", name)
 		}
 	}
-	// The engine's routing metrics must exist alongside.
-	if shReg.Snapshot()["shardreplay_records_total"] != float64(tr.Len()) {
+	// The fan-out engine's metrics must exist alongside.
+	if shReg.Snapshot()["fanout_records_total"] != float64(tr.Len()) {
 		t.Errorf("engine records_total = %v, want %d",
-			shReg.Snapshot()["shardreplay_records_total"], tr.Len())
+			shReg.Snapshot()["fanout_records_total"], tr.Len())
 	}
 }

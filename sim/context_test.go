@@ -7,8 +7,9 @@ import (
 	"time"
 )
 
-// The cancellable replay path (goroutine-fed source) must produce results
-// identical to the direct push path RunBenchmark uses.
+// The cancellable replay path (goroutine-fed source through
+// ReplayManyContext) must produce results identical to the direct push
+// path RunBenchmark uses.
 func TestRunBenchmarkContextMatchesRunBenchmark(t *testing.T) {
 	cfg := BaselineSystem()
 	plain, err := RunBenchmark("linpack", 0.05, cfg)
@@ -19,19 +20,19 @@ func TestRunBenchmarkContextMatchesRunBenchmark(t *testing.T) {
 	// path with a cancellable (but never cancelled) context.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	withCtx, err := RunBenchmarkContext(ctx, "linpack", 0.05, cfg)
+	withCtx, err := ReplayManyContext(ctx, "linpack", 0.05, 0, nil, []Config{cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain != withCtx {
-		t.Errorf("results differ:\n push: %+v\n pull: %+v", plain, withCtx)
+	if plain != withCtx[0] {
+		t.Errorf("results differ:\n push: %+v\n pull: %+v", plain, withCtx[0])
 	}
 }
 
 func TestRunBenchmarkContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunBenchmarkContext(ctx, "linpack", 0.5, BaselineSystem())
+	_, err := ReplayManyContext(ctx, "linpack", 0.5, 0, nil, []Config{BaselineSystem()})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -55,7 +56,7 @@ func TestRunBenchmarkContextTimeoutStopsLongRun(t *testing.T) {
 	start := time.Now()
 	// A scale this large would run for a long time uninterrupted; the
 	// deadline must cut it short promptly.
-	_, err := RunBenchmarkContext(ctx, "linpack", 500, BaselineSystem())
+	_, err := ReplayManyContext(ctx, "linpack", 500, 0, nil, []Config{BaselineSystem()})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

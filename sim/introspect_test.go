@@ -3,6 +3,11 @@ package sim
 import (
 	"context"
 	"testing"
+
+	"jouppi/internal/introspect"
+	"jouppi/internal/memtrace"
+	"jouppi/internal/shardreplay"
+	"jouppi/internal/workload"
 )
 
 // fullIntrospection enables every probe view (classification included,
@@ -44,6 +49,39 @@ func TestIntrospectionEquivalence(t *testing.T) {
 	}
 }
 
+// replayManyProbed is ReplayManyContext's pass (one generated stream,
+// one fan-out consumer per configuration) with one introspection probe
+// set attached to every consumer system.
+func replayManyProbed(name string, scale float64, cfgs []Config, o Introspection) ([]Results, []*introspect.SystemProbe, error) {
+	b, err := benchmark(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	hs := make([]*shardreplay.Hierarchy, len(cfgs))
+	probes := make([]*introspect.SystemProbe, len(cfgs))
+	for i, cfg := range cfgs {
+		hc, err := cfg.toHierarchy()
+		if err != nil {
+			return nil, nil, err
+		}
+		if hs[i], err = shardreplay.NewHierarchy(hc, 1); err != nil {
+			return nil, nil, err
+		}
+		probes[i] = introspect.Attach(hs[i].Systems()[0], o.toOptions())
+	}
+	src := workload.NewSource(b, scale)
+	defer src.Close()
+	counting := memtrace.NewCountingSource(src)
+	if err := shardreplay.New(shardreplay.Config{}).ReplayHierarchies(context.Background(), counting, hs...); err != nil {
+		return nil, nil, err
+	}
+	results := make([]Results, len(hs))
+	for i, h := range hs {
+		results[i] = toResults(h.Results(counting.Instructions()))
+	}
+	return results, probes, nil
+}
+
 // TestIntrospectionFanoutBitIdentical pins fan-out safety: a fan-out
 // replay with per-consumer probes produces the same Results as
 // sequential replays, and each consumer's probe matches the probe of a
@@ -54,7 +92,7 @@ func TestIntrospectionFanoutBitIdentical(t *testing.T) {
 		{D: Augmentation{VictimCacheEntries: 4}},
 	}
 	o := Introspection{Window: 1 << 12, Heatmap: true, MissEvery: 8}
-	results, probes, err := ReplayManyIntrospected(context.Background(), "ccom", 0.05, nil, cfgs, o)
+	results, probes, err := replayManyProbed("ccom", 0.05, cfgs, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +141,6 @@ func TestIntrospectionErrors(t *testing.T) {
 	bad := Config{I: Augmentation{MissCacheEntries: 2, VictimCacheEntries: 2}}
 	if _, _, err := RunBenchmarkIntrospected(context.Background(), "ccom", 1, bad, Introspection{}); err == nil {
 		t.Error("invalid config must fail")
-	}
-	if _, _, err := ReplayManyIntrospected(context.Background(), "ccom", -1, nil, []Config{{}}, Introspection{}); err == nil {
-		t.Error("negative scale must fail in fan-out")
 	}
 }
 

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"jouppi/internal/fanout"
 	"jouppi/internal/memtrace"
+	"jouppi/internal/shardreplay"
 	"jouppi/internal/telemetry"
 	"jouppi/internal/trace"
 	"jouppi/internal/workload"
@@ -18,24 +18,21 @@ import (
 // cost is simply paid once instead of len(cfgs) times, which is where
 // per-config sweeps spend most of their wall-clock.
 func ReplayMany(name string, scale float64, cfgs []Config) ([]Results, error) {
-	return ReplayManyContext(context.Background(), name, scale, nil, cfgs)
+	return ReplayManyContext(context.Background(), name, scale, 0, nil, cfgs)
 }
 
-// ReplayManyContext is ReplayMany with cooperative cancellation and
-// optional telemetry: the replay stops early with ctx's error once the
-// context is done, and a non-nil registry receives the fan-out engine's
-// broadcast metrics (fanout_chunks_total, fanout_records_total,
-// fanout_consumers, fanout_broadcast_depth, fanout_consumer_lag_*).
-func ReplayManyContext(ctx context.Context, name string, scale float64,
+// ReplayManyContext is ReplayMany with sharding, cooperative
+// cancellation and optional telemetry. Each configuration replays on up
+// to shards set-partitioned shards (NewShardedSystem's plan, so
+// configurations that cannot shard fall back to one), and the one
+// generated stream feeds every configuration's shards in the same pass.
+// Results are bit-identical at every shard count. The replay stops
+// early with ctx's error once the context is done, and a non-nil
+// registry receives the fan-out engine's metrics (fanout_chunks_total,
+// fanout_records_total, fanout_consumers, fanout_broadcast_depth,
+// fanout_consumer_lag_*), where every shard counts as one consumer.
+func ReplayManyContext(ctx context.Context, name string, scale float64, shards int,
 	reg *telemetry.Registry, cfgs []Config) ([]Results, error) {
-	return replayMany(ctx, name, scale, reg, cfgs, nil)
-}
-
-// replayMany is the shared fan-out replay body. attach, when non-nil, is
-// called once per freshly built consumer system before the replay starts
-// (the introspection hook); it must not touch the access stream.
-func replayMany(ctx context.Context, name string, scale float64,
-	reg *telemetry.Registry, cfgs []Config, attach func(i int, sys *System)) ([]Results, error) {
 	if err := checkScale(scale); err != nil {
 		return nil, err
 	}
@@ -43,26 +40,23 @@ func replayMany(ctx context.Context, name string, scale float64,
 	if err != nil {
 		return nil, err
 	}
-	systems := make([]*System, len(cfgs))
-	consumers := make([]fanout.Consumer, len(cfgs))
+	hs := make([]*shardreplay.Hierarchy, len(cfgs))
 	for i, cfg := range cfgs {
-		sys, err := NewSystem(cfg)
+		hc, err := cfg.toHierarchy()
+		if err == nil {
+			hs[i], err = shardreplay.NewHierarchy(hc, shards)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("sim: config %d: %w", i, err)
 		}
-		if attach != nil {
-			attach(i, sys)
-		}
-		systems[i] = sys
-		consumers[i] = fanout.Sink(sys.sys)
 	}
 
 	// The whole fan-out pass is one "replay" span: trace decode/production
 	// and broadcast are a single stage of a job's wall-clock, and the
 	// record count lands as an attribute at close. Span granularity is
 	// per replay, never per access, so tracing stays off the hot path.
-	ctx, rsp := trace.Start(ctx, "replay",
-		trace.String("benchmark", name), trace.Int("configs", len(cfgs)))
+	ctx, rsp := trace.Start(ctx, "replay", trace.String("benchmark", name),
+		trace.Int("configs", len(cfgs)), trace.Int("shards", shards))
 	defer rsp.End()
 
 	// Instructions are counted once on the producer side; every consumer
@@ -70,15 +64,14 @@ func replayMany(ctx context.Context, name string, scale float64,
 	src := workload.NewSource(b, scale)
 	defer src.Close()
 	counting := memtrace.NewCountingSource(src)
-	eng := fanout.New(fanout.Config{})
+	eng := shardreplay.New(shardreplay.Config{})
 	eng.AttachTelemetry(reg)
-	if err := eng.Replay(ctx, counting, consumers...); err != nil {
+	if err := eng.ReplayHierarchies(ctx, counting, hs...); err != nil {
 		return nil, err
 	}
-	out := make([]Results, len(systems))
-	for i, sys := range systems {
-		sys.instructions = counting.Instructions()
-		out[i] = sys.Results()
+	out := make([]Results, len(hs))
+	for i, h := range hs {
+		out[i] = toResults(h.Results(counting.Instructions()))
 	}
 	rsp.SetAttr("records", fmt.Sprint(counting.Total()))
 	return out, nil

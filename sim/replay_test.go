@@ -66,7 +66,7 @@ func TestReplayManyErrors(t *testing.T) {
 // context path in one small run.
 func TestReplayManyTelemetryAndCancellation(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	res, err := ReplayManyContext(context.Background(), "ccom", 0.02, reg,
+	res, err := ReplayManyContext(context.Background(), "ccom", 0.02, 0, reg,
 		[]Config{BaselineSystem(), ImprovedSystem()})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestReplayManyTelemetryAndCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	if _, err := ReplayManyContext(ctx, "ccom", 4, nil,
+	if _, err := ReplayManyContext(ctx, "ccom", 4, 0, nil,
 		[]Config{BaselineSystem(), ImprovedSystem()}); err == nil {
 		t.Error("expired context did not abort the replay")
 	}

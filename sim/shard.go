@@ -2,14 +2,9 @@ package sim
 
 import (
 	"context"
-	"fmt"
 
-	"jouppi/internal/introspect"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/shardreplay"
-	"jouppi/internal/telemetry"
-	"jouppi/internal/trace"
-	"jouppi/internal/workload"
 )
 
 // ShardInfo reports how a sharded replay actually ran: the requested
@@ -34,26 +29,16 @@ func toShardInfo(d shardreplay.Decision) ShardInfo {
 	return ShardInfo{Requested: d.Requested, Shards: d.Shards, Fallback: d.Fallback}
 }
 
-// ShardPlan analyses cfg without building a system and reports how a
-// request for the given shard count would run.
-func ShardPlan(cfg Config, shards int) (ShardInfo, error) {
-	hc, err := cfg.toHierarchy()
-	if err != nil {
-		return ShardInfo{}, err
-	}
-	return toShardInfo(shardreplay.PlanHierarchy(hc, shards)), nil
-}
-
-// ShardedSystem is a simulated memory system replayed across shard
-// goroutines: addresses are partitioned by a bit-field inside every
-// cache's set index, so each shard owns a disjoint slice of the sets
-// and the merged counters are bit-identical to a sequential replay.
-// Configurations with globally-coupled structures run sequentially
-// instead (Info reports why).
+// ShardedSystem is a simulated memory system replayed across shards,
+// each a fan-out consumer on its own goroutine: addresses are
+// partitioned by a bit-field inside every cache's set index, so each
+// shard owns a disjoint slice of the sets and the merged counters are
+// bit-identical to a sequential replay. Configurations with
+// globally-coupled structures run sequentially instead (Info reports
+// why).
 type ShardedSystem struct {
 	h            *shardreplay.Hierarchy
 	instructions uint64
-	records      uint64
 }
 
 // NewShardedSystem builds a system from cfg that replays on up to the
@@ -73,30 +58,6 @@ func NewShardedSystem(cfg Config, shards int) (*ShardedSystem, error) {
 // Info reports the effective shard count and any fallback reason.
 func (s *ShardedSystem) Info() ShardInfo { return toShardInfo(s.h.Decision()) }
 
-// AttachTelemetry attaches every shard (and the routing engine) to reg;
-// the shards share one name-idempotent counter set and publish deltas
-// under the usual delta-publication discipline, so the registry
-// converges to exactly the sequential totals. A nil registry detaches.
-// Attach before the replay starts.
-func (s *ShardedSystem) AttachTelemetry(reg *telemetry.Registry) { s.h.AttachTelemetry(reg) }
-
-// AttachIntrospection installs one introspection probe set per shard
-// and returns them (index = shard; one entry on the fallback path).
-// Each shard needs its own probes because the hierarchy's observer taps
-// write single-owner state from the shard's goroutine. Heatmaps merge
-// exactly across shards with introspect.MergeHeat — every L1 set
-// belongs to one shard — while phase windows and sampled miss events
-// cover only that shard's sub-stream of the trace. Attachment changes
-// no simulated number, sharded or not. Attach before the replay starts.
-func (s *ShardedSystem) AttachIntrospection(o Introspection) []*introspect.SystemProbe {
-	systems := s.h.Systems()
-	probes := make([]*introspect.SystemProbe, len(systems))
-	for i, sys := range systems {
-		probes[i] = introspect.Attach(sys, o.toOptions())
-	}
-	return probes
-}
-
 // ReplaySource pulls src dry through the sharded system, accumulating
 // the instruction count for Results. It returns ctx's error if the
 // replay is cancelled mid-stream.
@@ -104,59 +65,10 @@ func (s *ShardedSystem) ReplaySource(ctx context.Context, src memtrace.Source) e
 	counting := memtrace.NewCountingSource(src)
 	err := s.h.Replay(ctx, counting)
 	s.instructions += counting.Instructions()
-	s.records += counting.Total()
 	return err
 }
 
 // Results merges the per-shard counters and returns the run's results.
 func (s *ShardedSystem) Results() Results {
 	return toResults(s.h.Results(s.instructions))
-}
-
-// ReplaySharded generates the named workload once and replays it
-// through a system built from cfg on up to the given number of shards.
-// The results are bit-identical to RunBenchmark's — sharding is pure
-// parallelism, pinned by the differential test suite — and the returned
-// ShardInfo says whether the configuration actually sharded or fell
-// back to a sequential replay.
-func ReplaySharded(name string, scale float64, shards int, cfg Config) (Results, ShardInfo, error) {
-	return ReplayShardedContext(context.Background(), name, scale, shards, nil, cfg)
-}
-
-// ReplayShardedContext is ReplaySharded with cooperative cancellation
-// and optional telemetry: the replay stops early with ctx's error once
-// the context is done, and a non-nil registry receives the per-shard
-// system counters plus the routing engine's metrics
-// (shardreplay_chunks_total, shardreplay_records_total,
-// shardreplay_shards, shardreplay_depth, shardreplay_shard_lag_*).
-func ReplayShardedContext(ctx context.Context, name string, scale float64, shards int,
-	reg *telemetry.Registry, cfg Config) (Results, ShardInfo, error) {
-	if err := checkScale(scale); err != nil {
-		return Results{}, ShardInfo{}, err
-	}
-	b, err := benchmark(name)
-	if err != nil {
-		return Results{}, ShardInfo{}, err
-	}
-	sys, err := NewShardedSystem(cfg, shards)
-	if err != nil {
-		return Results{}, ShardInfo{}, err
-	}
-	info := sys.Info()
-	if reg != nil {
-		sys.AttachTelemetry(reg)
-	}
-	// The whole sharded pass is one "replay" span; each shard goroutine
-	// opens a child "shard" span. Granularity stays per replay, never
-	// per access.
-	ctx, rsp := trace.Start(ctx, "replay",
-		trace.String("benchmark", name), trace.Int("shards", info.Shards))
-	defer rsp.End()
-	src := workload.NewSource(b, scale)
-	defer src.Close()
-	if err := sys.ReplaySource(ctx, src); err != nil {
-		return Results{}, info, err
-	}
-	rsp.SetAttr("records", fmt.Sprint(sys.records))
-	return sys.Results(), info, nil
 }

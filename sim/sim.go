@@ -345,34 +345,32 @@ func benchmark(name string) (workload.Benchmark, error) {
 // is never materialized — so replay memory is O(1) in trace length and
 // arbitrarily large scales are feasible.
 func RunBenchmark(name string, scale float64, cfg Config) (Results, error) {
-	return RunBenchmarkContext(context.Background(), name, scale, cfg)
-}
-
-// RunBenchmarkContext is RunBenchmark with cooperative cancellation: the
-// replay polls ctx and stops early with its error once the context is
-// done, so long runs at large scales stay interruptible and can be
-// time-bounded with context.WithTimeout. The access sequence is
-// bit-identical to RunBenchmark's.
-func RunBenchmarkContext(ctx context.Context, name string, scale float64, cfg Config) (Results, error) {
-	if err := checkScale(scale); err != nil {
-		return Results{}, err
-	}
-	b, err := benchmark(name)
+	sys, b, err := benchmarkSystem(name, scale, cfg)
 	if err != nil {
 		return Results{}, err
 	}
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		return Results{}, err
-	}
-	if err := sys.replayBenchmark(ctx, b, scale); err != nil {
+	if err := sys.replayBenchmark(context.Background(), b, scale); err != nil {
 		return Results{}, err
 	}
 	return sys.Results(), nil
 }
 
+// benchmarkSystem checks a benchmark run's scale and name and builds its
+// system from cfg.
+func benchmarkSystem(name string, scale float64, cfg Config) (*System, workload.Benchmark, error) {
+	if err := checkScale(scale); err != nil {
+		return nil, nil, err
+	}
+	b, err := benchmark(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	sys, err := NewSystem(cfg)
+	return sys, b, err
+}
+
 // replayBenchmark streams b at scale through the system, booking the
-// instruction count. It is the shared body of RunBenchmarkContext and
+// instruction count. It is the shared body of RunBenchmark and
 // RunBenchmarkIntrospected, so both replay bit-identically.
 func (s *System) replayBenchmark(ctx context.Context, b workload.Benchmark, scale float64) error {
 	if ctx.Done() == nil {

@@ -22,7 +22,7 @@ func TestTracedReplayBitIdentical(t *testing.T) {
 		tr := trace.New(trace.Options{})
 		root := tr.Root("job", "equiv-"+name, nil)
 		ctx := trace.ContextWith(context.Background(), root)
-		attached, err := ReplayManyContext(ctx, name, 0.05, nil, cfgs)
+		attached, err := ReplayManyContext(ctx, name, 0.05, 0, nil, cfgs)
 		root.End()
 		if err != nil {
 			t.Fatalf("%s attached: %v", name, err)

@@ -316,7 +316,7 @@ func TestWriteBenchTelemetryJSON(t *testing.T) {
 			root = tracer.Root("bench", "", nil)
 			ctx = trace.ContextWith(ctx, root)
 		}
-		if _, err := sim.ReplayManyContext(ctx, "ccom", benchScale, nil, traceCfgs); err != nil {
+		if _, err := sim.ReplayManyContext(ctx, "ccom", benchScale, 0, nil, traceCfgs); err != nil {
 			t.Fatal(err)
 		}
 		root.End()
