@@ -30,12 +30,14 @@ shuffle:
 # cover enforces coverage floors on the subsystems whose interesting
 # branches a quick test run can silently stop exercising: the fan-out
 # engine (cancellation, panic relay, backpressure), the job queue
-# (retry classification, drain, admission, store quarantine), and
-# sharded replay on that engine (fallback matrix, shard filtering,
-# merge paths).
+# (retry classification, drain, admission, store quarantine), sharded
+# replay on that engine (fallback matrix, shard filtering, merge paths),
+# and the first-level front-end (core.Front's one Access is every
+# configuration's hot path, so each probe branch must stay exercised).
 FANOUT_COVER_MIN ?= 85.0
 JOBQUEUE_COVER_MIN ?= 80.0
 SHARDREPLAY_COVER_MIN ?= 85.0
+CORE_COVER_MIN ?= 90.0
 cover:
 	$(GO) test -coverprofile=cover_fanout.out ./internal/fanout
 	@total=$$($(GO) tool cover -func=cover_fanout.out | awk '/^total:/ { sub(/%/, "", $$NF); print $$NF }'); \
@@ -54,6 +56,12 @@ cover:
 	rm -f cover_shardreplay.out; \
 	echo "internal/shardreplay coverage: $$total% (floor $(SHARDREPLAY_COVER_MIN)%)"; \
 	awk -v got="$$total" -v min="$(SHARDREPLAY_COVER_MIN)" \
+		'BEGIN { if (got+0 < min+0) { print "coverage below floor"; exit 1 } }'
+	$(GO) test -coverprofile=cover_core.out ./internal/core
+	@total=$$($(GO) tool cover -func=cover_core.out | awk '/^total:/ { sub(/%/, "", $$NF); print $$NF }'); \
+	rm -f cover_core.out; \
+	echo "internal/core coverage: $$total% (floor $(CORE_COVER_MIN)%)"; \
+	awk -v got="$$total" -v min="$(CORE_COVER_MIN)" \
 		'BEGIN { if (got+0 < min+0) { print "coverage below floor"; exit 1 } }'
 
 # fuzz gives each trace-decoder fuzz target a short budget — a smoke pass

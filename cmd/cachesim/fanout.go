@@ -83,11 +83,27 @@ func parseFanoutSpec(s string, def feSpec) (feSpec, string, error) {
 	return sp, label, nil
 }
 
-// frontEnd builds the configured first-level system, mirroring the
-// single-configuration switch in run.
-func (sp feSpec) frontEnd() (core.FrontEnd, error) {
+// check rejects negative augmentation sizes and a miss cache combined
+// with a victim cache or stream buffers.
+func (sp feSpec) check() error {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"misscache", sp.missCache}, {"victim", sp.victim}, {"ways", sp.ways}, {"depth", sp.depth}} {
+		if f.n < 0 {
+			return fmt.Errorf("%s must not be negative, got %d", f.name, f.n)
+		}
+	}
 	if sp.missCache > 0 && (sp.victim > 0 || sp.ways > 0) {
-		return nil, fmt.Errorf("misscache cannot be combined with victim or ways")
+		return fmt.Errorf("misscache cannot be combined with victim or ways")
+	}
+	return nil
+}
+
+// frontEnd builds the configured first-level system.
+func (sp feSpec) frontEnd() (*core.Front, error) {
+	if err := sp.check(); err != nil {
+		return nil, err
 	}
 	l1cfg := cache.Config{Name: "L1", Size: sp.size, LineSize: sp.line, Assoc: sp.assoc}
 	if err := l1cfg.Validate(); err != nil {
@@ -113,7 +129,7 @@ func (sp feSpec) frontEnd() (core.FrontEnd, error) {
 // feConsumer replays the kept references of each broadcast chunk into one
 // front end.
 type feConsumer struct {
-	fe   core.FrontEnd
+	fe   *core.Front
 	keep func(memtrace.Access) bool
 }
 
@@ -135,7 +151,7 @@ func runFanout(stdout, stderr io.Writer, specs string, def feSpec,
 	degr func() memtrace.Degradation, lenient bool) int {
 	var labels []string
 	var consumers []fanout.Consumer
-	var fes []core.FrontEnd
+	var fes []*core.Front
 	for _, s := range strings.Split(specs, ";") {
 		sp, label, err := parseFanoutSpec(s, def)
 		if err != nil {

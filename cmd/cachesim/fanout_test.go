@@ -112,6 +112,8 @@ func TestFanoutSpecErrors(t *testing.T) {
 		{"bad int", []string{"-fanout", "victim=many"}, "victim"},
 		{"bad bool", []string{"-fanout", "quasi=perhaps"}, "quasi"},
 		{"conflict", []string{"-fanout", "misscache=2,victim=2"}, "misscache"},
+		{"negative victim", []string{"-fanout", "victim=-1"}, "victim must not be negative"},
+		{"negative depth", []string{"-fanout", "ways=2,depth=-1"}, "depth must not be negative"},
 		{"bad geometry", []string{"-fanout", "size=1000"}, "size"},
 		{"classify", []string{"-fanout", "victim=2", "-classify"}, "-classify"},
 	}

@@ -17,7 +17,6 @@ import (
 
 	"jouppi/internal/cache"
 	"jouppi/internal/classify"
-	"jouppi/internal/core"
 	"jouppi/internal/introspect"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/shardreplay"
@@ -73,8 +72,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "cachesim: -trace is required")
 		return 2
 	}
-	if *missCache > 0 && (*victim > 0 || *ways > 0) {
-		fmt.Fprintln(stderr, "cachesim: -misscache cannot be combined with -victim or -ways")
+	spec := feSpec{size: *size, line: *line, assoc: *assoc,
+		missCache: *missCache, victim: *victim,
+		ways: *ways, depth: *depth, quasi: *quasi, stride: *stride}
+	if err := spec.check(); err != nil {
+		fmt.Fprintln(stderr, "cachesim:", err)
 		return 2
 	}
 	if *fanouts != "" && *classify3 {
@@ -164,16 +166,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *fanouts != "" {
-		def := feSpec{size: *size, line: *line, assoc: *assoc,
-			missCache: *missCache, victim: *victim,
-			ways: *ways, depth: *depth, quasi: *quasi, stride: *stride}
 		var prog *telemetry.Progress
 		if *progress {
 			prog = telemetry.NewProgress(stderr, decoded, nil, nil)
 			prog.Start(200 * time.Millisecond)
 			defer prog.Stop()
 		}
-		return runFanout(stdout, stderr, *fanouts, def, src, keep, reg, srcErr, degr, *lenient)
+		return runFanout(stdout, stderr, *fanouts, spec, src, keep, reg, srcErr, degr, *lenient)
 	}
 
 	l1cfg := cache.Config{Name: "L1", Size: *size, LineSize: *line, Assoc: *assoc}
@@ -210,23 +209,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cachesim: replaying sequentially: %s\n", dec.Fallback)
 	}
 
-	l1 := cache.MustNew(l1cfg)
-
-	var fe core.FrontEnd
-	timing := core.DefaultTiming()
-	streamCfg := core.StreamConfig{Ways: *ways, Depth: *depth, Quasi: *quasi, DetectStride: *stride}
-	switch {
-	case *missCache > 0:
-		fe = core.NewMissCache(l1, *missCache, nil, timing)
-	case *victim > 0 && *ways > 0:
-		fe = core.NewCombined(l1, *victim, streamCfg, nil, timing)
-	case *victim > 0:
-		fe = core.NewVictimCache(l1, *victim, nil, timing)
-	case *ways > 0:
-		fe = core.NewStreamBuffer(l1, streamCfg, nil, timing)
-	default:
-		fe = core.NewBaseline(l1, nil, timing)
+	fe, err := spec.frontEnd()
+	if err != nil {
+		fmt.Fprintln(stderr, "cachesim:", err)
+		return 2
 	}
+	l1 := fe.Cache()
 
 	var cl *classify.Classifier
 	if *classify3 {

@@ -53,6 +53,24 @@ func TestConflictingFlags(t *testing.T) {
 	}
 }
 
+// TestNegativeAugmentationFlags checks that negative augmentation sizes
+// are rejected as usage errors rather than run as the baseline or left
+// to panic in a constructor.
+func TestNegativeAugmentationFlags(t *testing.T) {
+	path := writeTestTrace(t)
+	for _, args := range [][]string{
+		{"-victim", "-1"},
+		{"-misscache", "-3"},
+		{"-ways", "-2"},
+		{"-ways", "2", "-depth", "-1"},
+	} {
+		code, out, errOut := runCmd(t, append([]string{"-trace", path}, args...)...)
+		if code != 2 || !strings.Contains(errOut, "must not be negative") || out != "" {
+			t.Errorf("%v: code %d, stdout %q, stderr %q", args, code, out, errOut)
+		}
+	}
+}
+
 func TestBadSideAndGeometry(t *testing.T) {
 	path := writeTestTrace(t)
 	if code, _, _ := runCmd(t, "-trace", path, "-side", "sideways"); code != 2 {

@@ -20,8 +20,8 @@ type bufEntry struct {
 
 // newAssocBuf returns a buffer with n entries. n must be non-negative; a
 // zero-entry buffer is legal and never hits.
-func newAssocBuf(n int) *assocBuf {
-	return &assocBuf{entries: make([]bufEntry, n)}
+func newAssocBuf(n int) assocBuf {
+	return assocBuf{entries: make([]bufEntry, n)}
 }
 
 // len returns the configured entry count.

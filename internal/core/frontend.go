@@ -1,9 +1,9 @@
 // Package core implements the paper's hardware contributions: miss caches
 // (§3.1), victim caches (§3.2), single- and multi-way stream buffers
-// (§4.1–4.2), and the front-ends that attach them to a first-level
-// direct-mapped cache. It also implements the extensions the paper lists
-// as future work: quasi-sequential lookup and stride-predicting stream
-// buffers.
+// (§4.1–4.2), and Front, the one front-end that attaches them to a
+// first-level direct-mapped cache. It also implements the extensions the
+// paper lists as future work: quasi-sequential lookup and
+// stride-predicting stream buffers.
 //
 // A FrontEnd models one first-level cache (instruction or data) plus its
 // augmentation. Every access is classified as an L1 hit, an augmentation
@@ -207,11 +207,6 @@ type FrontEnd interface {
 	Access(addr uint64, write bool) Result
 	// Stats returns accumulated counters.
 	Stats() Stats
-	// Accesses returns the running Stats().Accesses count without
-	// copying the whole stats block. Reference paths that need the
-	// count per event — the hierarchy's miss-observer tap reads it on
-	// every first-level miss — use this instead of Stats.
-	Accesses() uint64
 	// Cache exposes the underlying L1 array (for inspection and
 	// invariant checking in tests).
 	Cache() *cache.Cache
@@ -219,92 +214,244 @@ type FrontEnd interface {
 	Name() string
 }
 
-// Baseline is a FrontEnd with no augmentation: a plain direct-mapped (or
-// other) first-level cache in front of the next level.
-type Baseline struct {
-	l1     *cache.Cache
-	fetch  Fetcher
-	timing Timing
-	stats  Stats
-	now    uint64
+// shape records which constructor built a Front. It decides the
+// auxiliary buffer's policy (a miss cache keeps a copy of each missed
+// line, a victim cache takes the lines L1 displaces) and the report name.
+type shape uint8
+
+const (
+	baselineShape shape = iota
+	missCacheShape
+	victimCacheShape
+	streamShape
+	combinedShape
+)
+
+// Front is the paper's first-level front-end: a first-level cache with
+// an optional small fully-associative buffer — the §3.1 miss cache or
+// the §3.2 victim cache — and optional §4 stream buffers. §5's improved
+// system is a victim cache and stream buffers at once. The constructors
+// NewBaseline, NewMissCache, NewVictimCache, NewStreamBuffer and
+// NewCombined build its shapes.
+//
+// An L1 miss probes the auxiliary buffer first, then the stream buffers,
+// and only then fetches from the next level:
+//   - A miss-cache hit reloads L1 in one cycle; the line stays in the
+//     miss cache, which therefore duplicates L1 lines. A full miss puts
+//     the fetched line in both.
+//   - A victim-cache hit swaps the line with L1's displaced line. Every
+//     line L1 displaces — by a swap, a stream-buffer hit or a demand
+//     fill — drops into the victim cache, so no line is ever in both.
+//   - A stream-buffer hit moves the prefetched line into L1 (one cycle
+//     plus any fill still in flight). A full miss restarts the least
+//     recently used buffer after the missed line.
+type Front struct {
+	l1        *cache.Cache
+	set       *streamSet // nil without stream buffers
+	fetch     Fetcher
+	timing    Timing
+	stats     Stats
+	now       uint64
+	aux       assocBuf // the miss or victim cache; no entries when absent
+	shape     shape
+	writeBack bool
+	streamCfg StreamConfig // the stream configuration Name reports
+}
+
+func newFront(l1 *cache.Cache, sh shape, entries int, fetch Fetcher, timing Timing) *Front {
+	return &Front{
+		l1:        l1,
+		fetch:     fetch,
+		timing:    timing.withDefaults(),
+		aux:       newAssocBuf(entries),
+		shape:     sh,
+		writeBack: l1.Config().WritePolicy == cache.WriteBack,
+	}
 }
 
 // NewBaseline wraps l1 as an unaugmented front-end. fetch may be nil when
 // next-level traffic is not modelled.
-func NewBaseline(l1 *cache.Cache, fetch Fetcher, timing Timing) *Baseline {
-	return &Baseline{l1: l1, fetch: fetch, timing: timing.withDefaults()}
+func NewBaseline(l1 *cache.Cache, fetch Fetcher, timing Timing) *Front {
+	return newFront(l1, baselineShape, 0, fetch, timing)
+}
+
+// NewMissCache builds a §3.1 miss-cache front-end with the given number
+// of fully-associative entries. entries may be 0, degenerating to a
+// baseline.
+func NewMissCache(l1 *cache.Cache, entries int, fetch Fetcher, timing Timing) *Front {
+	if entries < 0 {
+		panic(fmt.Sprintf("core: negative miss cache size %d", entries))
+	}
+	return newFront(l1, missCacheShape, entries, fetch, timing)
+}
+
+// NewVictimCache builds a §3.2 victim-cache front-end with the given
+// number of fully-associative entries. entries may be 0, degenerating to
+// a baseline.
+func NewVictimCache(l1 *cache.Cache, entries int, fetch Fetcher, timing Timing) *Front {
+	if entries < 0 {
+		panic(fmt.Sprintf("core: negative victim cache size %d", entries))
+	}
+	return newFront(l1, victimCacheShape, entries, fetch, timing)
+}
+
+// NewStreamBuffer builds a §4 stream-buffer front-end. Zero Ways and
+// Depth take their defaults; negative values panic.
+func NewStreamBuffer(l1 *cache.Cache, cfg StreamConfig, fetch Fetcher, timing Timing) *Front {
+	f := newFront(l1, streamShape, 0, fetch, timing)
+	f.set = newStreamSet(cfg, fetch, f.timing)
+	f.streamCfg = f.set.cfg
+	return f
+}
+
+// NewCombined builds the §5 front-end: a victim cache and stream buffers.
+// victimEntries may be zero (no victim cache); streamCfg.Ways may be zero
+// (no stream buffers). The paper's improved system puts a 4-entry victim
+// cache and a 4-way stream buffer on the data cache and a single stream
+// buffer on the instruction cache.
+func NewCombined(l1 *cache.Cache, victimEntries int, streamCfg StreamConfig, fetch Fetcher, timing Timing) *Front {
+	if victimEntries < 0 {
+		panic(fmt.Sprintf("core: negative victim cache size %d", victimEntries))
+	}
+	f := newFront(l1, combinedShape, victimEntries, fetch, timing)
+	f.streamCfg = streamCfg
+	if streamCfg.Ways > 0 {
+		f.set = newStreamSet(streamCfg, fetch, f.timing)
+		f.streamCfg = f.set.cfg
+	}
+	return f
 }
 
 // Access implements FrontEnd.
-func (b *Baseline) Access(addr uint64, write bool) Result {
-	b.stats.Accesses++
-	b.now++
-	if b.l1.Probe(addr, write) {
-		b.stats.L1Hits++
+func (f *Front) Access(addr uint64, write bool) Result {
+	f.stats.Accesses++
+	f.now++
+	if f.l1.Probe(addr, write) {
+		f.stats.L1Hits++
 		return Result{L1Hit: true}
 	}
-	b.stats.L1Misses++
-	b.stats.Fetches++
-	if b.fetch != nil {
-		b.fetch(b.l1.LineAddr(addr), false)
+	f.stats.L1Misses++
+	la := f.l1.LineAddr(addr)
+
+	// 1. The miss or victim cache. Only the shapes that have one give
+	// it entries.
+	if len(f.aux.entries) > 0 {
+		if f.shape == missCacheShape {
+			if hit, _ := f.aux.probe(la); hit {
+				f.stats.MissCacheHits++
+				f.install(addr, write, false)
+				return f.auxHit(f.timing.AuxPenalty, ServedMissCache)
+			}
+		} else if present, dirty := f.aux.remove(la); present {
+			f.stats.VictimHits++
+			if f.set != nil && f.set.contains(la) {
+				f.stats.OverlapHits++
+			}
+			f.install(addr, write, dirty)
+			return f.auxHit(f.timing.AuxPenalty, ServedVictim)
+		}
 	}
-	dirty := write && b.l1.Config().WritePolicy == cache.WriteBack
-	victim := b.l1.Fill(addr, dirty)
-	if victim.Dirty {
-		b.stats.Writebacks++
+
+	// 2. The stream buffers.
+	if f.set != nil {
+		if hit, inFlight, stall := f.set.probe(la, f.now); hit {
+			f.stats.StreamHits++
+			f.stats.PrefetchUsed++
+			if inFlight {
+				f.stats.StreamInFlightHits++
+			}
+			f.install(addr, write, false)
+			f.stats.PrefetchIssued = f.set.issued
+			return f.auxHit(stall, ServedStream)
+		}
 	}
-	stall := b.timing.MissPenalty
-	b.stats.StallCycles += uint64(stall)
-	b.now += uint64(stall)
+
+	// 3. Full miss: demand fetch, fill, then the miss-cache copy and a
+	// fresh stream after the missed line.
+	f.stats.Fetches++
+	if f.fetch != nil {
+		f.fetch(la, false)
+	}
+	f.install(addr, write, false)
+	if f.shape == missCacheShape {
+		f.aux.insert(la, false)
+	}
+	stall := f.timing.MissPenalty
+	f.stats.StallCycles += uint64(stall)
+	f.now += uint64(stall)
+	if f.set != nil {
+		f.set.allocate(la, f.now)
+		f.stats.PrefetchIssued = f.set.issued
+	}
 	return Result{Stall: stall, Served: ServedMemory}
 }
 
-// Stats implements FrontEnd.
-func (b *Baseline) Stats() Stats { return b.stats }
+// auxHit books an L1 miss that an augmentation satisfied in stall cycles.
+func (f *Front) auxHit(stall int, by ServedBy) Result {
+	f.stats.AuxHits++
+	f.stats.StallCycles += uint64(stall)
+	f.now += uint64(stall)
+	return Result{AuxHit: true, Stall: stall, Served: by}
+}
 
-// Accesses implements FrontEnd.
-func (b *Baseline) Accesses() uint64 { return b.stats.Accesses }
+// install fills addr's line into L1, dirty when a store or a dirty
+// swapped-in line makes it so under write-back. The line L1 displaces
+// drops into the victim cache, if there is one, and is otherwise written
+// back when dirty.
+func (f *Front) install(addr uint64, write, wasDirty bool) {
+	victim := f.l1.Fill(addr, (write || wasDirty) && f.writeBack)
+	if !victim.Valid {
+		return
+	}
+	if f.shape == missCacheShape || len(f.aux.entries) == 0 {
+		if victim.Dirty {
+			f.stats.Writebacks++
+		}
+		return
+	}
+	// A dirty line displaced out of the victim cache is written back.
+	if ev, evicted := f.aux.insert(victim.LineAddr, victim.Dirty); evicted && ev.dirty {
+		f.stats.Writebacks++
+	}
+}
+
+// Stats implements FrontEnd.
+func (f *Front) Stats() Stats { return f.stats }
+
+// Accesses returns the running Stats().Accesses count without copying
+// the stats block; the hierarchy's miss-observer tap reads it on every
+// first-level miss.
+func (f *Front) Accesses() uint64 { return f.stats.Accesses }
 
 // Cache implements FrontEnd.
-func (b *Baseline) Cache() *cache.Cache { return b.l1 }
+func (f *Front) Cache() *cache.Cache { return f.l1 }
 
 // Name implements FrontEnd.
-func (b *Baseline) Name() string { return "baseline" }
-
-var _ FrontEnd = (*Baseline)(nil)
-
-// AccessCounter returns a pointer to fe's live access counter — the
-// word behind Stats().Accesses, which every Access call increments — for
-// the front-end types of this package, unwrapping WithWriteBuffer; it
-// returns nil for foreign FrontEnd implementations. The pointer lets a
-// per-event consumer (the hierarchy's miss-observer tap reads it on
-// every first-level miss) load the count without an interface call,
-// under the usual single-writer discipline: read-only, replay goroutine
-// only.
-func AccessCounter(fe FrontEnd) *uint64 {
-	switch f := fe.(type) {
-	case *Baseline:
-		return &f.stats.Accesses
-	case *MissCache:
-		return &f.stats.Accesses
-	case *VictimCache:
-		return &f.stats.Accesses
-	case *StreamBuffer:
-		return &f.stats.Accesses
-	case *Combined:
-		return &f.stats.Accesses
-	case *WithWriteBuffer:
-		return AccessCounter(f.inner)
+func (f *Front) Name() string {
+	switch f.shape {
+	case missCacheShape:
+		return fmt.Sprintf("miss-cache-%d", len(f.aux.entries))
+	case victimCacheShape:
+		return fmt.Sprintf("victim-cache-%d", len(f.aux.entries))
+	case streamShape:
+		kind := "stream"
+		if f.streamCfg.Quasi {
+			kind = "quasi-stream"
+		}
+		if f.streamCfg.DetectStride {
+			kind = "stride-stream"
+		}
+		return fmt.Sprintf("%s-%dway-%ddeep", kind, f.streamCfg.Ways, f.streamCfg.Depth)
+	case combinedShape:
+		return fmt.Sprintf("combined-vc%d-sb%dx%d", len(f.aux.entries), f.streamCfg.Ways, f.streamCfg.Depth)
 	}
-	return nil
+	return "baseline"
 }
 
-// AuxResidents is implemented by front-ends whose auxiliary structure
-// holds whole cache lines (miss caches and victim caches). It exposes the
-// line addresses currently resident in the structure, for content
-// analyses such as the §3.5 inclusion-property study.
-type AuxResidents interface {
-	// AuxResidentLines returns line addresses (in L1 line units) held by
-	// the auxiliary structure.
-	AuxResidentLines() []uint64
-}
+// AuxResidentLines returns the line addresses (in L1 line units) the miss
+// or victim cache holds, for content analyses such as the §3.5
+// inclusion study. Stream-buffer entries are prefetched lines, not cache
+// lines, and are not included.
+func (f *Front) AuxResidentLines() []uint64 { return f.aux.residents() }
+
+var _ FrontEnd = (*Front)(nil)

@@ -13,6 +13,24 @@ func newL1(size int) *cache.Cache {
 	return cache.MustNew(cache.Config{Name: "L1", Size: size, LineSize: 16, Assoc: 1})
 }
 
+// ContainsAux reports whether addr's line is in the miss or victim cache
+// or in any stream buffer (head entries only unless Quasi).
+func (f *Front) ContainsAux(addr uint64) bool {
+	la := f.l1.LineAddr(addr)
+	return f.aux.contains(la) || (f.set != nil && f.set.contains(la))
+}
+
+// ContainsVictim reports whether the victim cache holds addr's line.
+func (f *Front) ContainsVictim(addr uint64) bool {
+	return f.aux.contains(f.l1.LineAddr(addr))
+}
+
+// Exclusive verifies the victim-cache invariant for addr's line: it is
+// not in both L1 and the victim cache.
+func (f *Front) Exclusive(addr uint64) bool {
+	return !(f.l1.Contains(addr) && f.ContainsVictim(addr))
+}
+
 func TestTimingWithDefaults(t *testing.T) {
 	tm := Timing{}.withDefaults()
 	if tm.MissPenalty != 24 || tm.AuxPenalty != 1 || tm.FillLatency != 24 || tm.FillInterval != 4 {

@@ -132,7 +132,7 @@ func TestSingleBufferThrashesOnInterleavedStreams(t *testing.T) {
 	// Two interleaved sequential streams (the saxpy pattern): a single
 	// buffer is re-allocated on every access and removes nothing, while
 	// a 2-way buffer captures both streams. This is the §4.2 motivation.
-	mk := func(ways int) *StreamBuffer {
+	mk := func(ways int) *Front {
 		return NewStreamBuffer(newL1(64), StreamConfig{Ways: ways, Depth: 4}, nil, fastFill())
 	}
 	single, multi := mk(1), mk(2)
@@ -258,7 +258,7 @@ func TestStrideDetection(t *testing.T) {
 	// Column-major walk: constant stride of 8 lines. The stride
 	// extension should lock on after two confirming deltas; the plain
 	// buffer never hits.
-	mk := func(detect bool) *StreamBuffer {
+	mk := func(detect bool) *Front {
 		return NewStreamBuffer(newL1(64),
 			StreamConfig{Ways: 1, Depth: 4, DetectStride: detect}, nil, fastFill())
 	}

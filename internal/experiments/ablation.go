@@ -137,10 +137,10 @@ func AblationL2Victim() Experiment {
 			cfg.parallelFor(len(names), func(b int) {
 				var sysCfgs []hierarchy.Config
 				for _, size := range sizes {
-					for _, entries := range []int{0, 8} {
+					for _, l2aug := range []hierarchy.Augment{{}, {Kind: hierarchy.VictimCache, Entries: 8}} {
 						sysCfgs = append(sysCfgs, hierarchy.Config{
-							L2:              cache.Config{Name: "L2", Size: size, LineSize: 128, Assoc: 1},
-							L2VictimEntries: entries,
+							L2:        cache.Config{Name: "L2", Size: size, LineSize: 128, Assoc: 1},
+							L2Augment: l2aug,
 						})
 					}
 				}

@@ -327,6 +327,18 @@ func (e *Engine) produce(ctx context.Context, src memtrace.Source,
 			pool.Put(sc)
 			return nil
 		}
+		// Poll before broadcasting: the sends below race ctx.Done() in a
+		// select, which picks among ready cases at random, so with room
+		// in every channel a cancelled context could go unnoticed to the
+		// end of a short stream.
+		if done != nil {
+			select {
+			case <-done:
+				pool.Put(sc)
+				return ctx.Err()
+			default:
+			}
+		}
 		sc.buf = buf[:n]
 		// Chunks abandoned mid-broadcast (abort/cancel) keep a positive
 		// refcount and simply fall to the garbage collector.

@@ -83,6 +83,21 @@ func TestReplayCancellation(t *testing.T) {
 	sameAccesses(t, "bystander prefix", want[:len(bystander.got)], bystander.got)
 }
 
+// TestReplayPreCancelled checks that a context cancelled before the
+// replay starts always fails it, even when the stream fits in one chunk
+// and every consumer channel has room for it.
+func TestReplayPreCancelled(t *testing.T) {
+	tr := randomTrace(100)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	eng := New(Config{})
+	for i := 0; i < 50; i++ {
+		if err := eng.Replay(ctx, tr.Source(), &collector{}, &collector{}); err != context.Canceled {
+			t.Fatalf("run %d: err = %v, want context.Canceled", i, err)
+		}
+	}
+}
+
 // TestReplayInlineCancellation covers the single-consumer fast path's
 // cancellation poll.
 func TestReplayInlineCancellation(t *testing.T) {

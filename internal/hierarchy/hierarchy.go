@@ -78,10 +78,6 @@ type Config struct {
 	// work. Its stream buffers prefetch from main memory.
 	L2Augment Augment
 
-	// L2VictimEntries is shorthand for L2Augment{Kind: VictimCache,
-	// Entries: n}; ignored when L2Augment is set.
-	L2VictimEntries int
-
 	// Timing carries the first-level penalties; Perf the system-level
 	// penalties. Zero values take the paper's baseline.
 	Timing core.Timing
@@ -168,8 +164,8 @@ func (s *MemStats) Add(other MemStats) {
 type System struct {
 	cfg Config
 
-	ife core.FrontEnd
-	dfe core.FrontEnd
+	ife *core.Front
+	dfe *core.Front
 
 	// The optional replay taps live right after the front-end words so
 	// the nil checks Access performs per reference share the front-ends'
@@ -180,17 +176,12 @@ type System struct {
 	obs  Observer
 	mobs MissObserver
 	// imc/dmc are the miss observer's per-side hot counters (nil when
-	// detached or not exposed), booked inline by Access; iAcc/dAcc
-	// point at the front-ends' live access counters (core.AccessCounter)
-	// so the tap reads the index the access just counted without an
-	// interface call.
-	imc  *MissCounters
-	dmc  *MissCounters
-	iAcc *uint64
-	dAcc *uint64
+	// detached or not exposed), booked inline by Access.
+	imc *MissCounters
+	dmc *MissCounters
 
 	l2   *cache.Cache
-	l2fe core.FrontEnd // wraps l2, possibly with a victim cache
+	l2fe *core.Front // wraps l2, possibly with a victim cache
 
 	l2i L2Stats // L2 traffic caused by the instruction side
 	l2d L2Stats // L2 traffic caused by the data side
@@ -310,10 +301,6 @@ func New(cfg Config) (*System, error) {
 	// The L2 front-end's timing is irrelevant to the system performance
 	// model (which works from counts), so baseline timing is fine. Its
 	// fetch callback is main-memory traffic.
-	l2aug := cfg.L2Augment
-	if l2aug.Kind == None && cfg.L2VictimEntries > 0 {
-		l2aug = Augment{Kind: VictimCache, Entries: cfg.L2VictimEntries}
-	}
 	memFetch := func(lineAddr uint64, prefetch bool) {
 		if prefetch {
 			s.mem.PrefetchFetches++
@@ -321,7 +308,7 @@ func New(cfg Config) (*System, error) {
 			s.mem.DemandFetches++
 		}
 	}
-	s.l2fe, err = buildFrontEnd(l2, l2aug, memFetch, cfg.Timing)
+	s.l2fe, err = buildFrontEnd(l2, cfg.L2Augment, memFetch, cfg.Timing)
 	if err != nil {
 		return nil, err
 	}
@@ -345,10 +332,6 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// buildFrontEnd only constructs core front-end types, so the counter
-	// pointers are always available.
-	s.iAcc = core.AccessCounter(s.ife)
-	s.dAcc = core.AccessCounter(s.dfe)
 	return s, nil
 }
 
@@ -369,7 +352,7 @@ func shiftFor(lineSize int) uint {
 	return shift
 }
 
-func buildFrontEnd(l1 *cache.Cache, aug Augment, fetch core.Fetcher, timing core.Timing) (core.FrontEnd, error) {
+func buildFrontEnd(l1 *cache.Cache, aug Augment, fetch core.Fetcher, timing core.Timing) (*core.Front, error) {
 	switch aug.Kind {
 	case None:
 		return core.NewBaseline(l1, fetch, timing), nil
@@ -393,13 +376,11 @@ func buildFrontEnd(l1 *cache.Cache, aug Augment, fetch core.Fetcher, timing core
 }
 
 // fetcher routes a first-level fetch into the second level, attributing
-// traffic to stats.
+// traffic to stats. The L2 front-end's result names the structure that
+// served the fetch, so its victim and stream hits are booked from it.
 func (s *System) fetcher(stats *L2Stats, l1Shift uint) core.Fetcher {
 	return func(lineAddr uint64, prefetch bool) {
-		addr := lineAddr << l1Shift
-		vcBefore := s.l2VictimHits()
-		sbBefore := s.l2StreamHits()
-		r := s.l2fe.Access(addr, false)
+		r := s.l2fe.Access(lineAddr<<l1Shift, false)
 		if prefetch {
 			stats.PrefetchAccesses++
 			if r.FullMiss() {
@@ -411,14 +392,14 @@ func (s *System) fetcher(stats *L2Stats, l1Shift uint) core.Fetcher {
 				stats.DemandMisses++
 			}
 		}
-		stats.VictimHits += s.l2VictimHits() - vcBefore
-		stats.StreamHits += s.l2StreamHits() - sbBefore
+		switch r.Served {
+		case core.ServedVictim:
+			stats.VictimHits++
+		case core.ServedStream:
+			stats.StreamHits++
+		}
 	}
 }
-
-func (s *System) l2VictimHits() uint64 { return s.l2fe.Stats().VictimHits }
-
-func (s *System) l2StreamHits() uint64 { return s.l2fe.Stats().StreamHits }
 
 // Access routes one trace reference. With telemetry attached, the only
 // per-access telemetry cost is one pending-count increment; the outcome
@@ -434,20 +415,20 @@ func (s *System) Access(a memtrace.Access) {
 	// observer's slow path must see (a period boundary or a due sample).
 	var r core.Result
 	var mc *MissCounters
-	var acc *uint64
+	var fe *core.Front
 	switch a.Kind {
 	case memtrace.Ifetch:
-		r = s.ife.Access(uint64(a.Addr), false)
-		mc, acc = s.imc, s.iAcc
+		fe, mc = s.ife, s.imc
+		r = fe.Access(uint64(a.Addr), false)
 	case memtrace.Load:
-		r = s.dfe.Access(uint64(a.Addr), false)
-		mc, acc = s.dmc, s.dAcc
+		fe, mc = s.dfe, s.dmc
+		r = fe.Access(uint64(a.Addr), false)
 	case memtrace.Store:
-		r = s.dfe.Access(uint64(a.Addr), true)
-		mc, acc = s.dmc, s.dAcc
+		fe, mc = s.dfe, s.dmc
+		r = fe.Access(uint64(a.Addr), true)
 	}
-	if s.mobs != nil && !r.L1Hit && acc != nil {
-		idx := *acc - 1
+	if s.mobs != nil && !r.L1Hit && fe != nil {
+		idx := fe.Accesses() - 1
 		if mc != nil && idx < mc.NextWin && mc.SampleIn > 0 {
 			if idx >= mc.Accesses {
 				mc.Accesses = idx + 1
@@ -575,10 +556,10 @@ func MergeResults(cfg Config, instructions uint64, parts ...Results) Results {
 }
 
 // IFrontEnd returns the instruction-side front-end (for inspection).
-func (s *System) IFrontEnd() core.FrontEnd { return s.ife }
+func (s *System) IFrontEnd() *core.Front { return s.ife }
 
 // DFrontEnd returns the data-side front-end (for inspection).
-func (s *System) DFrontEnd() core.FrontEnd { return s.dfe }
+func (s *System) DFrontEnd() *core.Front { return s.dfe }
 
 // L2Cache returns the second-level cache array.
 func (s *System) L2Cache() *cache.Cache { return s.l2 }
@@ -605,11 +586,8 @@ type InclusionReport struct {
 // Inclusion scans current cache contents and reports violations.
 func (s *System) Inclusion() InclusionReport {
 	var r InclusionReport
-	count := func(fe core.FrontEnd, shift uint) (lines, violations int) {
-		resident := fe.Cache().ResidentLines()
-		if aux, ok := fe.(core.AuxResidents); ok {
-			resident = append(resident, aux.AuxResidentLines()...)
-		}
+	count := func(fe *core.Front, shift uint) (lines, violations int) {
+		resident := append(fe.Cache().ResidentLines(), fe.AuxResidentLines()...)
 		for _, la := range resident {
 			lines++
 			if !s.l2.Contains(la << shift) {

@@ -181,8 +181,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := job.Status()
-	if st.State.Terminal() {
-		// Answered from the result store: the job is already done.
+	if st.CacheHit {
+		// Answered from the result store: the job is already done. A
+		// short job may also be done by now, but it was queued, so it
+		// still gets 202 and its Location.
 		writeJSON(w, http.StatusOK, st)
 		return
 	}

@@ -475,6 +475,17 @@ func (q *Queue) runJob(job *Job) {
 	job.state = StateRunning
 	job.started = time.Now()
 	job.mu.Unlock()
+
+	// "run" covers everything between queue wait and settlement: the
+	// worker's setup and log line, all attempts, the backoff sleeps
+	// between them, and the result-store write. It opens just before
+	// queue wait closes, so the span-end hooks queue wait's close runs
+	// (journal, SLO series, profile trigger) are timed inside it, and
+	// together the two account for the root's wall-clock to within
+	// scheduling noise. It rides the worker's context from here on:
+	// every stage below — attempts, backoff sleeps, trace decode,
+	// fan-out replay, store writes — hangs its span off this one.
+	rctx, runSpan := trace.Start(trace.ContextWith(q.baseCtx, job.root), "run")
 	job.queueWait.End()
 	q.tel.depth.Add(-1)
 	q.tel.running.Add(1)
@@ -482,25 +493,15 @@ func (q *Queue) runJob(job *Job) {
 	q.log.Info("job running", "job", job.id, "span", job.root.ID(),
 		"queue_wait_s", job.started.Sub(job.created).Seconds())
 
-	// The root span rides the worker's context from here on: every stage
-	// below — attempts, backoff sleeps, trace decode, fan-out replay,
-	// store writes — hangs its span off this one.
-	ctx := trace.ContextWith(q.baseCtx, job.root)
 	if d := firstDuration(job.spec.Deadline, q.opts.JobDeadline); d > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
+		rctx, cancel = context.WithTimeout(rctx, d)
 		defer cancel()
 	}
 	retries := job.spec.Retries
 	if retries < 0 {
 		retries = q.opts.Retries
 	}
-
-	// "run" covers everything between queue wait and settlement: all
-	// attempts, the backoff sleeps between them, and the result-store
-	// write. Together with queue-wait it accounts for the root's
-	// wall-clock to within scheduling noise.
-	rctx, runSpan := trace.Start(ctx, "run")
 
 	var (
 		body    []byte

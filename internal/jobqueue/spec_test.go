@@ -166,6 +166,7 @@ func TestParseConfigsGrammar(t *testing.T) {
 		"size=big",
 		"sys=huge",
 		"misscache=2,victim=2", // rejected by sim validation
+		"l2victim=-1",          // negative L2 victim cache, rejected like victim=-1
 		"quasi=true",           // no stream buffers to apply it to
 		"frobnicate=1",
 	} {

@@ -182,7 +182,7 @@ func goldenCases() []diffCase {
 		}),
 		// The L2 extensions couple globally too.
 		mk("l2/victim", false, "victim-cache", func(c *hierarchy.Config) {
-			c.L2VictimEntries = 4
+			c.L2Augment = hierarchy.Augment{Kind: hierarchy.VictimCache, Entries: 4}
 		}),
 		// Random replacement shares one generator across sets.
 		mk("random/l1d", false, "random replacement", func(c *hierarchy.Config) {

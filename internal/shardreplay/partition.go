@@ -168,10 +168,6 @@ func PlanHierarchy(cfg hierarchy.Config, requested int) Decision {
 			return d
 		}
 	}
-	if cfg.L2Augment.Kind == hierarchy.None && cfg.L2VictimEntries > 0 {
-		d.Fallback = auxFallback("L2", hierarchy.Augment{Kind: hierarchy.VictimCache})
-		return d
-	}
 	if reason := randomFallback(cfg.L1I, cfg.L1D, cfg.L2); reason != "" {
 		d.Fallback = reason
 		return d

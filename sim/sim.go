@@ -150,23 +150,16 @@ func (a Augmentation) toAugment() (hierarchy.Augment, error) {
 func (c Config) toHierarchy() (hierarchy.Config, error) {
 	def := hierarchy.DefaultConfig()
 	out := hierarchy.Config{
-		L1I:             c.L1I.toCache("L1I", def.L1I),
-		L1D:             c.L1D.toCache("L1D", def.L1D),
-		L2:              c.L2.toCache("L2", def.L2),
-		L2VictimEntries: c.L2VictimEntries,
-		Timing:          def.Timing,
-		Perf:            def.Perf,
+		L1I:    c.L1I.toCache("L1I", def.L1I),
+		L1D:    c.L1D.toCache("L1D", def.L1D),
+		L2:     c.L2.toCache("L2", def.L2),
+		Timing: def.Timing,
+		Perf:   def.Perf,
 	}
-	if c.L2Stream != nil {
-		l2aug, err := (Augmentation{
-			VictimCacheEntries: c.L2VictimEntries,
-			Stream:             c.L2Stream,
-		}).toAugment()
-		if err != nil {
-			return out, fmt.Errorf("second-level cache: %w", err)
-		}
-		out.L2Augment = l2aug
-		out.L2VictimEntries = 0
+	var err error
+	out.L2Augment, err = Augmentation{VictimCacheEntries: c.L2VictimEntries, Stream: c.L2Stream}.toAugment()
+	if err != nil {
+		return out, fmt.Errorf("second-level cache: %w", err)
 	}
 	if c.L1MissPenalty != 0 {
 		out.Timing.MissPenalty = c.L1MissPenalty
@@ -176,7 +169,6 @@ func (c Config) toHierarchy() (hierarchy.Config, error) {
 	if c.L2MissPenalty != 0 {
 		out.Perf.L2MissPenalty = c.L2MissPenalty
 	}
-	var err error
 	if out.IAugment, err = c.I.toAugment(); err != nil {
 		return out, fmt.Errorf("instruction cache: %w", err)
 	}

@@ -20,6 +20,7 @@ func TestConfigValidation(t *testing.T) {
 		{I: Augmentation{MissCacheEntries: 2, VictimCacheEntries: 2}},
 		{D: Augmentation{MissCacheEntries: 2, Stream: &StreamOptions{Ways: 1}}},
 		{I: Augmentation{MissCacheEntries: -1}},
+		{L2VictimEntries: -1},
 		{L1I: CacheGeometry{Size: 100}}, // not a power of two
 	}
 	for i, cfg := range bad {
