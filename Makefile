@@ -32,12 +32,16 @@ shuffle:
 # engine (cancellation, panic relay, backpressure), the job queue
 # (retry classification, drain, admission, store quarantine), sharded
 # replay on that engine (fallback matrix, shard filtering, merge paths),
-# and the first-level front-end (core.Front's one Access is every
-# configuration's hot path, so each probe branch must stay exercised).
+# the first-level front-end (core.Front's one Access is every
+# configuration's hot path, so each probe branch must stay exercised),
+# and the experiments (every exhibit replays through replayGroup; the
+# package runs without -short so the full exhibit sweep counts, about
+# 40 s on a 2-core host).
 FANOUT_COVER_MIN ?= 85.0
 JOBQUEUE_COVER_MIN ?= 80.0
 SHARDREPLAY_COVER_MIN ?= 85.0
 CORE_COVER_MIN ?= 90.0
+EXPERIMENTS_COVER_MIN ?= 95.0
 cover:
 	$(GO) test -coverprofile=cover_fanout.out ./internal/fanout
 	@total=$$($(GO) tool cover -func=cover_fanout.out | awk '/^total:/ { sub(/%/, "", $$NF); print $$NF }'); \
@@ -62,6 +66,12 @@ cover:
 	rm -f cover_core.out; \
 	echo "internal/core coverage: $$total% (floor $(CORE_COVER_MIN)%)"; \
 	awk -v got="$$total" -v min="$(CORE_COVER_MIN)" \
+		'BEGIN { if (got+0 < min+0) { print "coverage below floor"; exit 1 } }'
+	$(GO) test -coverprofile=cover_experiments.out ./internal/experiments
+	@total=$$($(GO) tool cover -func=cover_experiments.out | awk '/^total:/ { sub(/%/, "", $$NF); print $$NF }'); \
+	rm -f cover_experiments.out; \
+	echo "internal/experiments coverage: $$total% (floor $(EXPERIMENTS_COVER_MIN)%)"; \
+	awk -v got="$$total" -v min="$(EXPERIMENTS_COVER_MIN)" \
 		'BEGIN { if (got+0 < min+0) { print "coverage below floor"; exit 1 } }'
 
 # fuzz gives each trace-decoder fuzz target a short budget — a smoke pass

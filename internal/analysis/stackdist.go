@@ -193,10 +193,6 @@ func (sd *StackDist) Accesses() uint64 { return sd.accesses }
 // Compulsory returns the number of first references.
 func (sd *StackDist) Compulsory() uint64 { return sd.compulsory }
 
-// Distances returns the reuse-distance histogram (bucket i = distance i;
-// distance 0 means the line was the most recently used).
-func (sd *StackDist) Distances() *Histogram { return sd.hist }
-
 // MissRatio returns the miss ratio of a fully-associative LRU cache with
 // the given capacity in lines: references whose reuse distance is ≥
 // capacity miss, plus all compulsory references. capacity must not exceed

@@ -544,51 +544,6 @@ func (c *Cache) Reset() {
 	c.rng = c.cfg.RandomSeed | 1
 }
 
-// Touch updates the recency of addr's line if present, without counting an
-// access. The victim-cache swap path uses it to model the swapped-in line
-// becoming most recently used.
-func (c *Cache) Touch(addr uint64) bool {
-	la := c.LineAddr(addr)
-	set := c.setFor(la)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == la {
-			c.tick++
-			w.used = c.tick
-			return true
-		}
-	}
-	return false
-}
-
-// MarkDirty sets the dirty bit on addr's line if present. Used when a line
-// arrives from a victim cache carrying modified data.
-func (c *Cache) MarkDirty(addr uint64) bool {
-	la := c.LineAddr(addr)
-	set := c.setFor(la)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == la {
-			w.dirty = true
-			return true
-		}
-	}
-	return false
-}
-
-// Utilization returns the fraction of lines currently valid.
-func (c *Cache) Utilization() float64 {
-	valid := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				valid++
-			}
-		}
-	}
-	return float64(valid) / float64(c.cfg.Lines())
-}
-
 // ResidentLines returns the line addresses of every valid line, in no
 // particular order. Intended for content inspection (e.g. inclusion
 // analysis between hierarchy levels), not for the simulation fast path.

@@ -219,45 +219,6 @@ func TestAccessFillsOnMiss(t *testing.T) {
 	}
 }
 
-func TestTouchAndMarkDirty(t *testing.T) {
-	c := MustNew(Config{Size: 32, LineSize: 16, Assoc: FullyAssociative, WritePolicy: WriteBack})
-	if c.Touch(0x00) {
-		t.Fatal("Touch hit in empty cache")
-	}
-	c.Fill(0x000, false)
-	c.Fill(0x100, false)
-	if !c.Touch(0x000) {
-		t.Fatal("Touch missed present line")
-	}
-	if !c.MarkDirty(0x000) {
-		t.Fatal("MarkDirty missed present line")
-	}
-	if c.MarkDirty(0x300) {
-		t.Fatal("MarkDirty hit absent line")
-	}
-	// After the touch, 0x100 is LRU and 0x000 is dirty.
-	v := c.Fill(0x200, false)
-	if v.LineAddr != c.LineAddr(0x100) {
-		t.Fatalf("victim = %+v, want 0x100", v)
-	}
-	v = c.Fill(0x300, false)
-	if v.LineAddr != c.LineAddr(0x000) || !v.Dirty {
-		t.Fatalf("victim = %+v, want dirty 0x000", v)
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	c := MustNew(Config{Size: 64, LineSize: 16, Assoc: 1})
-	if got := c.Utilization(); got != 0 {
-		t.Errorf("empty utilization = %v, want 0", got)
-	}
-	c.Fill(0x00, false)
-	c.Fill(0x10, false)
-	if got := c.Utilization(); got != 0.5 {
-		t.Errorf("utilization = %v, want 0.5", got)
-	}
-}
-
 func TestResetClearsEverything(t *testing.T) {
 	c := MustNew(Config{Size: 64, LineSize: 16, Assoc: 2})
 	for i := uint64(0); i < 16; i++ {
@@ -267,8 +228,8 @@ func TestResetClearsEverything(t *testing.T) {
 	if c.Stats() != (Stats{}) {
 		t.Errorf("stats after reset = %+v", c.Stats())
 	}
-	if c.Utilization() != 0 {
-		t.Error("lines survive reset")
+	if n := len(c.ResidentLines()); n != 0 {
+		t.Errorf("%d lines survive reset", n)
 	}
 }
 

@@ -59,18 +59,6 @@ type Counts struct {
 // Total returns the sum over all classes.
 func (c Counts) Total() uint64 { return c.Compulsory + c.Capacity + c.Conflict }
 
-// Of returns the count for a single class.
-func (c Counts) Of(cl Class) uint64 {
-	switch cl {
-	case Compulsory:
-		return c.Compulsory
-	case Capacity:
-		return c.Capacity
-	default:
-		return c.Conflict
-	}
-}
-
 // add increments the count for cl.
 func (c *Counts) add(cl Class) {
 	switch cl {
@@ -283,6 +271,3 @@ func (c *Classifier) pushFront(n *faNode) {
 // Len returns the number of lines currently resident in the shadow
 // fully-associative cache.
 func (c *Classifier) Len() int { return len(c.nodes) }
-
-// UniqueLines returns the number of distinct lines referenced so far.
-func (c *Classifier) UniqueLines() int { return len(c.seen) }

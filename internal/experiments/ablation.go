@@ -5,7 +5,6 @@ import (
 
 	"jouppi/internal/cache"
 	"jouppi/internal/core"
-	"jouppi/internal/fanout"
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/stats"
 	"jouppi/internal/textplot"
@@ -28,16 +27,17 @@ func AblationQuasi() Experiment {
 			// One pass per benchmark: the classified baseline and both
 			// stream-buffer variants ride the same trace broadcast.
 			cfg.parallelFor(len(names), func(i int) {
-				bc := newClassifiedRun(dSide, 4096, 16)
+				var p pass
+				bc := p.baseline(dSide, 4096, 16)
 				mk := func(quasi bool) *frontRun {
-					return newFrontRun(dSide, core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
+					return p.front(dSide, core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
 						core.StreamConfig{Ways: 4, Depth: 4, Quasi: quasi},
 						nil, core.DefaultTiming()))
 				}
 				head, quasi := mk(false), mk(true)
-				replayGroup(cfg, cfg.Traces.Source(names[i]), bc, head, quasi)
-				out[i] = row{bc.counts(cfg).misses,
-					head.stats(cfg).FullMisses(), quasi.stats(cfg).FullMisses()}
+				replayGroup(cfg, cfg.Traces.Source(names[i]), p...)
+				out[i] = row{bc.counts().misses,
+					head.fe.Stats().FullMisses(), quasi.fe.Stats().FullMisses()}
 			})
 
 			headers := []string{"program", "head-only removed", "quasi removed", "gain (pp)"}
@@ -84,20 +84,21 @@ func AblationStride() Experiment {
 			for _, p := range patterns {
 				// Generate each pattern once; the baseline and both
 				// buffer variants consume the same streamed trace.
+				var ps pass
 				mk := func(detect bool) *frontRun {
-					return newFrontRun(dSide, core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
+					return ps.front(dSide, core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
 						core.StreamConfig{Ways: 4, Depth: 4, DetectStride: detect},
 						nil, core.DefaultTiming()))
 				}
-				bc := newClassifiedRun(dSide, 4096, 16)
+				bc := ps.baseline(dSide, 4096, 16)
 				seq, det := mk(false), mk(true)
 				src := workload.NewSource(p.bench, cfg.Scale)
-				replayGroup(cfg, src, bc, seq, det)
+				replayGroup(cfg, src, ps...)
 				src.Close()
-				base := bc.counts(cfg)
+				base := bc.counts()
 				reduced := func(f *frontRun) string {
 					return fmtPct(stats.PercentReduction(float64(base.misses),
-						float64(f.stats(cfg).FullMisses())))
+						float64(f.fe.Stats().FullMisses())))
 				}
 				rows = append(rows, []string{p.label, fmt.Sprint(base.misses),
 					reduced(seq), reduced(det)})
@@ -128,28 +129,7 @@ func AblationL2Victim() Experiment {
 			headers := []string{"program", "L2 size", "L2 misses (base)", "L2 misses (+8-entry VC)", "reduction"}
 			var rows [][]string
 			sizes := []int{1 << 20, 64 << 10}
-			// results indexed [bench][size][0=base,1=victim]. All four
-			// systems of a benchmark share one trace pass.
-			results := make([][][2]hierarchy.Results, len(names))
-			for i := range results {
-				results[i] = make([][2]hierarchy.Results, len(sizes))
-			}
-			cfg.parallelFor(len(names), func(b int) {
-				var sysCfgs []hierarchy.Config
-				for _, size := range sizes {
-					for _, l2aug := range []hierarchy.Augment{{}, {Kind: hierarchy.VictimCache, Entries: 8}} {
-						sysCfgs = append(sysCfgs, hierarchy.Config{
-							L2:        cache.Config{Name: "L2", Size: size, LineSize: 128, Assoc: 1},
-							L2Augment: l2aug,
-						})
-					}
-				}
-				rs := runSystemsFanout(cfg, names[b], sysCfgs)
-				for s := range sizes {
-					results[b][s][0] = rs[2*s]
-					results[b][s][1] = rs[2*s+1]
-				}
-			})
+			results := l2AugmentSweep(cfg, names, sizes, hierarchy.Augment{Kind: hierarchy.VictimCache, Entries: 8})
 			for b, name := range names {
 				for s, size := range sizes {
 					base := results[b][s][0]
@@ -191,23 +171,22 @@ func AblationMissCmp() Experiment {
 			}
 			// Nine configurations per benchmark (classified baseline plus
 			// a miss and a victim cache at each entry count) ride one
-			// trace pass — the widest fan-out in the suite.
+			// trace pass.
 			cfg.parallelFor(len(names), func(i int) {
-				bc := newClassifiedRun(dSide, 4096, 16)
-				consumers := []fanout.Consumer{bc}
+				var p pass
+				bc := p.baseline(dSide, 4096, 16)
 				mcs := make([]*frontRun, len(entries))
 				vcs := make([]*frontRun, len(entries))
 				for ei, e := range entries {
-					mcs[ei] = newFrontRun(dSide,
+					mcs[ei] = p.front(dSide,
 						core.NewMissCache(cache.MustNew(l1Config(4096, 16)), e, nil, core.DefaultTiming()))
-					vcs[ei] = newFrontRun(dSide,
+					vcs[ei] = p.front(dSide,
 						core.NewVictimCache(cache.MustNew(l1Config(4096, 16)), e, nil, core.DefaultTiming()))
-					consumers = append(consumers, mcs[ei], vcs[ei])
 				}
-				replayGroup(cfg, cfg.Traces.Source(names[i]), consumers...)
-				base[i] = bc.counts(cfg).misses
+				replayGroup(cfg, cfg.Traces.Source(names[i]), p...)
+				base[i] = bc.counts().misses
 				for ei := range entries {
-					grid[i][ei] = cell{mcs[ei].stats(cfg).FullMisses(), vcs[ei].stats(cfg).FullMisses()}
+					grid[i][ei] = cell{mcs[ei].fe.Stats().FullMisses(), vcs[ei].fe.Stats().FullMisses()}
 				}
 			})
 
@@ -258,17 +237,16 @@ func AblationReplacement() Experiment {
 			}
 			// All three policies of a benchmark share one trace pass.
 			cfg.parallelFor(len(names), func(b int) {
+				var ps pass
 				runs := make([]*frontRun, len(policies))
-				consumers := make([]fanout.Consumer, len(policies))
 				for p, pol := range policies {
 					l1 := cache.MustNew(cache.Config{Size: 4096, LineSize: 16, Assoc: 4,
 						Replacement: pol, RandomSeed: 12345})
-					runs[p] = newFrontRun(dSide, core.NewBaseline(l1, nil, core.DefaultTiming()))
-					consumers[p] = runs[p]
+					runs[p] = ps.front(dSide, core.NewBaseline(l1, nil, core.DefaultTiming()))
 				}
-				replayGroup(cfg, cfg.Traces.Source(names[b]), consumers...)
+				replayGroup(cfg, cfg.Traces.Source(names[b]), ps...)
 				for p := range policies {
-					miss[b][p] = runs[p].stats(cfg).MissRate()
+					miss[b][p] = runs[p].fe.Stats().MissRate()
 				}
 			})
 

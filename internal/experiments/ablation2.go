@@ -28,23 +28,18 @@ func AblationAssoc() Experiment {
 			type row [5]float64 // dm, dm+vc4, 2-way, 4-way, fully-assoc
 			out := make([]row, len(names))
 			cfg.parallelFor(len(names), func(i int) {
-				tr := cfg.Traces.Get(names[i])
-				run := func(assoc, victim int) float64 {
+				var p pass
+				fe := func(assoc, victim int) *frontRun {
 					l1 := cache.MustNew(cache.Config{Size: 4096, LineSize: 16, Assoc: assoc})
-					var fe core.FrontEnd
 					if victim > 0 {
-						fe = core.NewVictimCache(l1, victim, nil, core.DefaultTiming())
-					} else {
-						fe = core.NewBaseline(l1, nil, core.DefaultTiming())
+						return p.front(dSide, core.NewVictimCache(l1, victim, nil, core.DefaultTiming()))
 					}
-					return runFrontOn(tr.Source(), dSide, fe).MissRate()
+					return p.front(dSide, core.NewBaseline(l1, nil, core.DefaultTiming()))
 				}
-				out[i] = row{
-					run(1, 0),
-					run(1, 4),
-					run(2, 0),
-					run(4, 0),
-					run(cache.FullyAssociative, 0),
+				runs := []*frontRun{fe(1, 0), fe(1, 4), fe(2, 0), fe(4, 0), fe(cache.FullyAssociative, 0)}
+				replayGroup(cfg, cfg.Traces.Source(names[i]), p...)
+				for k, fr := range runs {
+					out[i][k] = fr.fe.Stats().MissRate()
 				}
 			})
 
@@ -69,17 +64,6 @@ func AblationAssoc() Experiment {
 	}
 }
 
-// runFrontOn replays one side of an access stream through an existing
-// front-end.
-func runFrontOn(src memtrace.Source, s side, fe core.FrontEnd) core.Stats {
-	memtrace.Each(src, func(a memtrace.Access) {
-		if s.keep(a) {
-			fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-		}
-	})
-	return fe.Stats()
-}
-
 // AblationPrefetchCmp tests the paper's claim that stream buffers beat the
 // classic prefetch techniques: per benchmark and side, the percentage of
 // demand misses removed by prefetch-on-miss, tagged prefetch, prefetch-
@@ -101,33 +85,41 @@ func AblationPrefetchCmp() Experiment {
 			// [bench][side][0..2 prefetch policies, 3 = single stream
 			// buffer, 4 = 4-way stream buffers]
 			out := make([][2][5]cell, len(names))
-			cfg.parallelFor(len(names)*2, func(k int) {
-				b, sd := k/2, side(k%2)
-				tr := cfg.Traces.Get(names[b])
-				bc := runBaselineClassified(cfg, tr.Source(), sd, 4096, 16)
-
-				for pi, pol := range []prefetch.Policy{prefetch.OnMiss, prefetch.Tagged, prefetch.Always} {
-					fe := prefetch.New(cache.MustNew(l1Config(4096, 16)), pol,
-						prefetch.Timing{MissPenalty: 24, FillLatency: 24}, nil)
-					memtrace.Each(tr.Source(), func(a memtrace.Access) {
-						if sd.keep(a) {
-							fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-						}
-					})
-					st := fe.Stats()
-					out[b][sd][pi] = cell{
-						removed: stats.PercentReduction(float64(bc.misses), float64(st.Misses)),
-						stall:   float64(st.StallCycles) / float64(max(1, st.Accesses)),
+			policies := []prefetch.Policy{prefetch.OnMiss, prefetch.Tagged, prefetch.Always}
+			cfg.parallelFor(len(names), func(b int) {
+				var p pass
+				var bases [2]*classifiedRun
+				var pfs [2][]*prefetch.FrontEnd
+				var bufs [2][]*frontRun
+				for sd := side(0); sd < 2; sd++ {
+					bases[sd] = p.baseline(sd, 4096, 16)
+					for _, pol := range policies {
+						fe := prefetch.New(cache.MustNew(l1Config(4096, 16)), pol,
+							prefetch.Timing{MissPenalty: 24, FillLatency: 24}, nil)
+						pfs[sd] = append(pfs[sd], fe)
+						p.model(sd, func(addr uint64, write bool) { fe.Access(addr, write) })
+					}
+					for _, ways := range []int{1, 4} {
+						bufs[sd] = append(bufs[sd], p.front(sd, core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
+							core.StreamConfig{Ways: ways, Depth: 4}, nil, core.DefaultTiming())))
 					}
 				}
-				for wi, ways := range []int{1, 4} {
-					st := runFront(cfg, tr.Source(), sd, func() core.FrontEnd {
-						return core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
-							core.StreamConfig{Ways: ways, Depth: 4}, nil, core.DefaultTiming())
-					})
-					out[b][sd][3+wi] = cell{
-						removed: stats.PercentReduction(float64(bc.misses), float64(st.FullMisses())),
-						stall:   float64(st.StallCycles) / float64(max(1, st.Accesses)),
+				replayGroup(cfg, cfg.Traces.Source(names[b]), p...)
+				for sd, bc := range bases {
+					baseMisses := float64(bc.counts().misses)
+					for pi, fe := range pfs[sd] {
+						st := fe.Stats()
+						out[b][sd][pi] = cell{
+							removed: stats.PercentReduction(baseMisses, float64(st.Misses)),
+							stall:   float64(st.StallCycles) / float64(max(1, st.Accesses)),
+						}
+					}
+					for wi, fr := range bufs[sd] {
+						st := fr.fe.Stats()
+						out[b][sd][3+wi] = cell{
+							removed: stats.PercentReduction(baseMisses, float64(st.FullMisses())),
+							stall:   float64(st.StallCycles) / float64(max(1, st.Accesses)),
+						}
 					}
 				}
 			})
@@ -187,19 +179,23 @@ func AblationDepth() Experiment {
 				out[i] = make([]cell, len(depths))
 			}
 			cfg.parallelFor(len(names), func(i int) {
-				tr := cfg.Traces.Get(names[i])
-				bc := runBaselineClassified(cfg, tr.Source(), dSide, 4096, 16)
+				var p pass
+				bc := p.baseline(dSide, 4096, 16)
+				bufs := make([]*frontRun, len(depths))
 				for di, d := range depths {
-					st := runFront(cfg, tr.Source(), dSide, func() core.FrontEnd {
-						return core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
-							core.StreamConfig{Ways: 4, Depth: d}, nil, core.DefaultTiming())
-					})
+					bufs[di] = p.front(dSide, core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
+						core.StreamConfig{Ways: 4, Depth: d}, nil, core.DefaultTiming()))
+				}
+				replayGroup(cfg, cfg.Traces.Source(names[i]), p...)
+				baseMisses := float64(bc.counts().misses)
+				for di, fr := range bufs {
+					st := fr.fe.Stats()
 					inflight := 0.0
 					if st.StreamHits > 0 {
 						inflight = 100 * float64(st.StreamInFlightHits) / float64(st.StreamHits)
 					}
 					out[i][di] = cell{
-						removed:  stats.PercentReduction(float64(bc.misses), float64(st.FullMisses())),
+						removed:  stats.PercentReduction(baseMisses, float64(st.FullMisses())),
 						inflight: inflight,
 						stall:    float64(st.StallCycles) / float64(max(1, st.Accesses)),
 					}
@@ -251,19 +247,16 @@ func AblationWritePolicy() Experiment {
 			}
 			out := make([]row, len(names))
 			cfg.parallelFor(len(names), func(i int) {
-				tr := cfg.Traces.Get(names[i])
-				run := func(pol cache.WritePolicy) cache.Stats {
-					l1 := cache.MustNew(cache.Config{Size: 4096, LineSize: 16, Assoc: 1,
+				mk := func(pol cache.WritePolicy) *cache.Cache {
+					return cache.MustNew(cache.Config{Size: 4096, LineSize: 16, Assoc: 1,
 						WritePolicy: pol})
-					memtrace.Each(tr.Source(), func(a memtrace.Access) {
-						if a.Kind.IsData() {
-							l1.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-						}
-					})
-					return l1.Stats()
 				}
-				wt := run(cache.WriteThrough)
-				wb := run(cache.WriteBack)
+				wtCache, wbCache := mk(cache.WriteThrough), mk(cache.WriteBack)
+				var p pass
+				p.model(dSide, func(addr uint64, write bool) { wtCache.Access(addr, write) })
+				p.model(dSide, func(addr uint64, write bool) { wbCache.Access(addr, write) })
+				replayGroup(cfg, cfg.Traces.Source(names[i]), p...)
+				wt, wb := wtCache.Stats(), wbCache.Stats()
 				out[i] = row{
 					stores:     wt.Writes,
 					writebacks: wb.Writebacks,
@@ -318,16 +311,13 @@ func AblationMultiprog() Experiment {
 			cfg.parallelFor(len(quanta), func(qi int) {
 				bench := workload.Multiprogram(quanta[qi],
 					workload.Ccom(), workload.Grr(), workload.Yacc())
-				runCfg := func(sysCfg hierarchy.Config) hierarchy.Results {
-					sys := hierarchy.MustNew(sysCfg)
-					src := workload.NewSource(bench, cfg.Scale)
-					defer src.Close()
-					cs := memtrace.NewCountingSource(src)
-					sys.RunSource(cs)
-					return sys.Results(cs.Instructions())
-				}
-				base := runCfg(hierarchy.Config{})
-				imp := runCfg(improvedConfig())
+				var p pass
+				baseSys, impSys := p.system(hierarchy.Config{}), p.system(improvedConfig())
+				src := workload.NewSource(bench, cfg.Scale)
+				defer src.Close()
+				cs := memtrace.NewCountingSource(src)
+				replayGroup(cfg, cs, p...)
+				base, imp := baseSys.Results(cs.Instructions()), impSys.Results(cs.Instructions())
 				out[qi] = row{
 					baseI: base.I.MissRate(), baseD: base.D.MissRate(),
 					impI: imp.I.MissRate(), impD: imp.D.MissRate(),

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"jouppi/internal/fanout"
-	"jouppi/internal/memtrace"
 	"jouppi/internal/textplot"
 )
 
@@ -29,11 +27,13 @@ func AblationBandwidth() Experiment {
 			cfg.parallelFor(len(names), func(i int) {
 				tr := cfg.Traces.Get(names[i])
 				var stores uint64
-				replayGroup(cfg, tr.Source(), fanout.Func(func(a memtrace.Access) {
-					if a.Kind == memtrace.Store {
+				var p pass
+				p.model(dSide, func(_ uint64, write bool) {
+					if write {
 						stores++
 					}
-				}))
+				})
+				replayGroup(cfg, tr.Source(), p...)
 				rates[i] = float64(stores) / float64(tr.Instructions())
 			})
 

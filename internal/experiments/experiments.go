@@ -14,8 +14,6 @@ import (
 	"sync"
 
 	"jouppi/internal/cache"
-	"jouppi/internal/classify"
-	"jouppi/internal/core"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/telemetry"
 	"jouppi/internal/textplot"
@@ -30,24 +28,25 @@ type Config struct {
 	// Traces supplies the benchmark traces; NewTraceSet(Scale) if nil.
 	Traces *TraceSet
 
-	// Accesses, when non-nil, is bumped by the number of trace references
-	// each replay loop consumed (added in bulk at end of replay, so
-	// parallel sweep workers do not contend per access). It is what a
-	// live progress display watches. RunAll wires it automatically when
+	// Accesses, when non-nil, is bumped by the number of trace records
+	// each replay pass delivered, summed over the pass's consumers (added
+	// in bulk at the end of the pass, so parallel sweep workers do not
+	// contend per access). It measures simulation work and is what a live
+	// progress display watches. RunAll wires it automatically when
 	// RunOptions.Telemetry is set.
 	Accesses *telemetry.Counter
 
-	// ctx carries the run's cancellation signal into the shared exhibit
-	// helpers (replay loops and parameter sweeps poll it). It lives in
-	// Config because the Experiment.Run signature predates cancellation
-	// and every exhibit already threads cfg; nil means context.Background.
+	// ctx carries the run's cancellation signal into replayGroup and
+	// parallelFor, which poll it. It lives in Config because the
+	// Experiment.Run signature predates cancellation and every exhibit
+	// already threads cfg; nil means context.Background.
 	ctx context.Context
 }
 
-// WithContext returns a copy of c whose helpers observe ctx: replay
-// loops and parameter sweeps stop early once it is cancelled. An
-// experiment cut short this way returns untrustworthy partial numbers —
-// RunAll discards them and reports the cancellation instead.
+// WithContext returns a copy of c whose replay passes and sweeps observe
+// ctx: they stop early once it is cancelled. An experiment cut short this
+// way returns untrustworthy partial numbers — RunAll discards them and
+// reports the cancellation instead.
 func (c Config) WithContext(ctx context.Context) Config {
 	c.ctx = ctx
 	return c
@@ -230,51 +229,6 @@ func (s side) keep(a memtrace.Access) bool {
 // l1Config returns a first-level cache configuration.
 func l1Config(size, lineSize int) cache.Config {
 	return cache.Config{Name: "L1", Size: size, LineSize: lineSize, Assoc: 1}
-}
-
-// runFront replays one side of an access stream through the front-end
-// built by mk and returns its stats. Cancellation of cfg's context stops
-// the replay early; the partial stats only surface if the caller ignores
-// the cancellation, which RunAll never does.
-func runFront(cfg Config, src memtrace.Source, s side, mk func() core.FrontEnd) core.Stats {
-	fe := mk()
-	var replayed uint64
-	_ = memtrace.EachContext(cfg.context(), src, func(a memtrace.Access) {
-		if s.keep(a) {
-			fe.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-			replayed++
-		}
-	})
-	cfg.Accesses.Add(replayed)
-	return fe.Stats()
-}
-
-// baselineCounts replays one side through a plain direct-mapped cache and
-// its 3C classifier, returning total misses and the per-class counts.
-type baseCounts struct {
-	accesses uint64
-	misses   uint64
-	classes  classify.Counts
-}
-
-func runBaselineClassified(cfg Config, src memtrace.Source, s side, size, lineSize int) baseCounts {
-	l1 := cache.MustNew(l1Config(size, lineSize))
-	cl := classify.MustNew(size, lineSize)
-	var out baseCounts
-	_ = memtrace.EachContext(cfg.context(), src, func(a memtrace.Access) {
-		if !s.keep(a) {
-			return
-		}
-		out.accesses++
-		hit, _ := l1.Access(uint64(a.Addr), a.Kind == memtrace.Store)
-		cl.ObserveMiss(uint64(a.Addr), !hit)
-		if !hit {
-			out.misses++
-		}
-	})
-	out.classes = cl.Counts()
-	cfg.Accesses.Add(out.accesses)
-	return out
 }
 
 // workerPanic carries a panic out of a parallelFor worker goroutine into

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"jouppi/internal/telemetry"
 )
 
 // smallCfg shares one trace set across the test binary.
@@ -38,15 +41,22 @@ func TestRegistry(t *testing.T) {
 
 // TestAllExperimentsRun executes every experiment at a small scale and
 // sanity-checks the outputs. This is the integration test for the whole
-// harness.
+// harness. Each exhibit that replays a trace must book that work to
+// cfg.Accesses (the progress counter), and a run whose context is
+// already cancelled must fail with the cancellation, not a panic.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep skipped in -short mode")
 	}
+	static := map[string]bool{"table1-1": true, "table2-1": true} // replay nothing
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			res := e.Run(smallCfg())
+			cfg := smallCfg()
+			cfg.Accesses = telemetry.NewRegistry().Counter("sim_replay_accesses_total", "records replayed")
+			res := e.Run(cfg)
 			if res == nil {
 				t.Fatal("nil result")
 			}
@@ -61,6 +71,13 @@ func TestAllExperimentsRun(t *testing.T) {
 			}
 			if strings.Contains(res.Text, "NaN") {
 				t.Error("output contains NaN")
+			}
+			if booked := cfg.Accesses.Value(); !static[e.ID] && booked == 0 {
+				t.Error("booked no replayed records to cfg.Accesses")
+			}
+			if r := runShielded(cancelled, e, smallCfg(), 0); r.Err != "context canceled" || r.Stack != "" {
+				t.Errorf("pre-cancelled run: Err %q, Stack %q; want %q and no stack",
+					r.Err, r.Stack, "context canceled")
 			}
 		})
 	}

@@ -11,12 +11,14 @@ import (
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/memtrace"
 	"jouppi/internal/shardreplay"
+	"jouppi/internal/telemetry"
 )
 
 // TestReplayGroupMatchesSequentialHelpers pins the rewiring's bit-identity
 // claim at the helper level: one fan-out pass with a classified-baseline
 // consumer and a front-end consumer must produce exactly the numbers the
-// sequential helpers produce from separate passes.
+// sequential helpers produce from separate passes, and the pass books
+// every record it read once per consumer to the progress counter.
 func TestReplayGroupMatchesSequentialHelpers(t *testing.T) {
 	cfg := smallCfg()
 	tr := cfg.Traces.Get("ccom")
@@ -26,14 +28,19 @@ func TestReplayGroupMatchesSequentialHelpers(t *testing.T) {
 		return core.NewBaseline(cache.MustNew(l1Config(4096, 16)), nil, core.DefaultTiming())
 	})
 
-	bc := newClassifiedRun(dSide, 4096, 16)
-	fr := newFrontRun(dSide, core.NewBaseline(cache.MustNew(l1Config(4096, 16)), nil, core.DefaultTiming()))
-	replayGroup(cfg, tr.Source(), bc, fr)
+	var p pass
+	bc := p.baseline(dSide, 4096, 16)
+	fr := p.front(dSide, core.NewBaseline(cache.MustNew(l1Config(4096, 16)), nil, core.DefaultTiming()))
+	cfg.Accesses = telemetry.NewRegistry().Counter("sim_replay_accesses_total", "records replayed")
+	replayGroup(cfg, tr.Source(), p...)
+	if got, want := cfg.Accesses.Value(), 2*uint64(tr.Len()); got != want {
+		t.Errorf("replayGroup booked %d records, want %d (every record once per consumer)", got, want)
+	}
 
-	if got := bc.counts(cfg); got != seqBC {
+	if got := bc.counts(); got != seqBC {
 		t.Errorf("classified fan-out run differs from sequential:\n got %+v\nwant %+v", got, seqBC)
 	}
-	if got := fr.stats(cfg); got != seqFront {
+	if got := fr.fe.Stats(); got != seqFront {
 		t.Errorf("front-end fan-out run differs from sequential:\n got %+v\nwant %+v", got, seqFront)
 	}
 }

@@ -18,10 +18,10 @@ func Fig31() Experiment {
 			out := make([]pcts, len(names))
 			// One trace pass per benchmark feeds both sides' classifiers.
 			cfg.parallelFor(len(names), func(idx int) {
-				ic := newClassifiedRun(iSide, 4096, 16)
-				dc := newClassifiedRun(dSide, 4096, 16)
-				replayGroup(cfg, cfg.Traces.Source(names[idx]), ic, dc)
-				bi, bd := ic.counts(cfg), dc.counts(cfg)
+				var p pass
+				ic, dc := p.baseline(iSide, 4096, 16), p.baseline(dSide, 4096, 16)
+				replayGroup(cfg, cfg.Traces.Source(names[idx]), p...)
+				bi, bd := ic.counts(), dc.counts()
 				out[idx].i = stats.Percent(float64(bi.classes.Conflict), float64(bi.misses))
 				out[idx].d = stats.Percent(float64(bd.classes.Conflict), float64(bd.misses))
 			})

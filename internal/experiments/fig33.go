@@ -41,56 +41,48 @@ func conflictRemovalSweep(cfg Config, kind auxKind, entries []int, cacheSize, li
 	cfg = cfg.withDefaults()
 	names := benchNames()
 
-	// Baselines per benchmark and side, indexed bench*2 + side.
-	baseArr := make([]baseCounts, len(names)*2)
-	cfg.parallelFor(len(names)*2, func(k int) {
-		idx, s := k/2, side(k%2)
-		baseArr[k] = runBaselineClassified(cfg, cfg.Traces.Source(names[idx]), s, cacheSize, lineSize)
-	})
-
-	// Sweep: per (benchmark, side, entry count) → percent of conflict
-	// misses removed.
+	// perBench[side][entryIdx][bench] is the percentage of conflict
+	// misses removed; include[side][bench] marks the benchmarks with
+	// enough conflicts to average.
 	removed := make([][]float64, 2) // [side][entryIdx] average
 	perBench := make([][][]float64, 2)
+	include := make([][]bool, 2)
 	for s := 0; s < 2; s++ {
 		removed[s] = make([]float64, len(entries))
 		perBench[s] = make([][]float64, len(entries))
 		for e := range entries {
 			perBench[s][e] = make([]float64, len(names))
 		}
+		include[s] = make([]bool, len(names))
 	}
 
-	type job struct{ bench, entryIdx, sideIdx int }
-	var jobs []job
-	for b := range names {
-		for e := range entries {
-			jobs = append(jobs, job{b, e, 0}, job{b, e, 1})
+	cfg.parallelFor(len(names), func(b int) {
+		var p pass
+		var bases [2]*classifiedRun
+		var runs [2][]*frontRun
+		for s := side(0); s < 2; s++ {
+			bases[s] = p.baseline(s, cacheSize, lineSize)
+			for _, e := range entries {
+				runs[s] = append(runs[s], p.front(s, kind.build(cache.MustNew(l1Config(cacheSize, lineSize)), e)))
+			}
 		}
-	}
-	cfg.parallelFor(len(jobs), func(j int) {
-		jb := jobs[j]
-		tr := cfg.Traces.Get(names[jb.bench])
-		s := side(jb.sideIdx)
-		st := runFront(cfg, tr.Source(), s, func() core.FrontEnd {
-			return kind.build(cache.MustNew(l1Config(cacheSize, lineSize)), entries[jb.entryIdx])
-		})
-		b := baseArr[jb.bench*2+jb.sideIdx]
-		removedMisses := float64(b.misses) - float64(st.FullMisses())
-		// A large victim cache adds real capacity, so on benchmarks with
-		// few conflict misses (liver) it can remove more misses than the
-		// baseline had conflicts; clamp to 100% as the figure's metric
-		// is a share of conflict misses.
-		perBench[jb.sideIdx][jb.entryIdx][jb.bench] =
-			min(100, stats.Percent(removedMisses, float64(b.classes.Conflict)))
+		replayGroup(cfg, cfg.Traces.Source(names[b]), p...)
+		for s, bc := range bases {
+			base := bc.counts()
+			include[s][b] = base.classes.Conflict >= minConflictsForAverage
+			for e, fr := range runs[s] {
+				removedMisses := float64(base.misses) - float64(fr.fe.Stats().FullMisses())
+				// A large victim cache adds real capacity, so on benchmarks
+				// with few conflict misses (liver) it can remove more misses
+				// than the baseline had conflicts; clamp to 100% as the
+				// figure's metric is a share of conflict misses.
+				perBench[s][e][b] = min(100, stats.Percent(removedMisses, float64(base.classes.Conflict)))
+			}
+		}
 	})
 
 	// Cross-benchmark averages with the low-conflict exclusion.
-	include := make([][]bool, 2)
 	for s := 0; s < 2; s++ {
-		include[s] = make([]bool, len(names))
-		for b := range names {
-			include[s][b] = baseArr[b*2+s].classes.Conflict >= minConflictsForAverage
-		}
 		for e := range entries {
 			removed[s][e] = meanOver(perBench[s][e], include[s])
 		}

@@ -28,29 +28,30 @@ func victimVsParamSweep(cfg Config, id, title, xLabel string,
 
 	cfg.parallelFor(len(params), func(pi int) {
 		size, line := mkGeom(params[pi])
-		baseArr := make([]baseCounts, len(names))
-		for b := range names {
-			baseArr[b] = runBaselineClassified(cfg, cfg.Traces.Source(names[b]), dSide, size, line)
-		}
-		include := make([]bool, len(names))
+		var include []bool
 		var conflictPcts []float64
+		vals := make([][]float64, len(entries)) // [entryIdx][bench]
 		for b := range names {
-			include[b] = baseArr[b].classes.Conflict >= minConflictsForAverage
+			var p pass
+			bc := p.baseline(dSide, size, line)
+			runs := make([]*frontRun, len(entries))
+			for ei, e := range entries {
+				runs[ei] = p.front(dSide, core.NewVictimCache(cache.MustNew(l1Config(size, line)), e,
+					nil, core.DefaultTiming()))
+			}
+			replayGroup(cfg, cfg.Traces.Source(names[b]), p...)
+			base := bc.counts()
+			include = append(include, base.classes.Conflict >= minConflictsForAverage)
 			conflictPcts = append(conflictPcts,
-				stats.Percent(float64(baseArr[b].classes.Conflict), float64(baseArr[b].misses)))
+				stats.Percent(float64(base.classes.Conflict), float64(base.misses)))
+			for ei, fr := range runs {
+				removedMisses := float64(base.misses) - float64(fr.fe.Stats().FullMisses())
+				vals[ei] = append(vals[ei], min(100, stats.Percent(removedMisses, float64(base.classes.Conflict))))
+			}
 		}
 		points[pi].conflict = stats.Mean(conflictPcts)
-		for ei, e := range entries {
-			vals := make([]float64, len(names))
-			for b := range names {
-				st := runFront(cfg, cfg.Traces.Source(names[b]), dSide, func() core.FrontEnd {
-					return core.NewVictimCache(cache.MustNew(l1Config(size, line)), e,
-						nil, core.DefaultTiming())
-				})
-				removedMisses := float64(baseArr[b].misses) - float64(st.FullMisses())
-				vals[b] = min(100, stats.Percent(removedMisses, float64(baseArr[b].classes.Conflict)))
-			}
-			points[pi].removed[ei] = meanOver(vals, include)
+		for ei := range entries {
+			points[pi].removed[ei] = meanOver(vals[ei], include)
 		}
 	})
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"jouppi/internal/cache"
-	"jouppi/internal/memtrace"
 	"jouppi/internal/prefetch"
 	"jouppi/internal/textplot"
 )
@@ -24,19 +23,19 @@ func Fig41() Experiment {
 			tr := cfg.Traces.Get("ccom")
 			const buckets = 27
 
+			// One pass over ccom feeds all three policies. The histograms
+			// exist before the pass, so a cancelled run still renders and
+			// RunAll reports the cancellation.
 			policies := []prefetch.Policy{prefetch.OnMiss, prefetch.Tagged, prefetch.Always}
 			hists := make([]*prefetch.TimeToUse, len(policies))
-			cfg.parallelFor(len(policies), func(i int) {
-				hist := prefetch.NewTimeToUse(buckets)
-				fe := prefetch.New(cache.MustNew(l1Config(4096, 16)), policies[i],
-					prefetch.Timing{MissPenalty: 24, FillLatency: 24}, hist)
-				memtrace.Each(tr.Source(), func(a memtrace.Access) {
-					if a.Kind == memtrace.Ifetch {
-						fe.Access(uint64(a.Addr), false)
-					}
-				})
-				hists[i] = hist
-			})
+			var p pass
+			for i, pol := range policies {
+				hists[i] = prefetch.NewTimeToUse(buckets)
+				fe := prefetch.New(cache.MustNew(l1Config(4096, 16)), pol,
+					prefetch.Timing{MissPenalty: 24, FillLatency: 24}, hists[i])
+				p.model(iSide, func(addr uint64, write bool) { fe.Access(addr, write) })
+			}
+			replayGroup(cfg, tr.Source(), p...)
 
 			xs := make([]float64, buckets)
 			for i := range xs {

@@ -28,36 +28,34 @@ func streamRunSweep(cfg Config, id, title string, ways int) *Result {
 		}
 		baseMisses[s] = make([]uint64, len(names))
 	}
-	cfg.parallelFor(len(names)*2, func(k int) {
-		idx, s := k/2, k%2
-		bc := runBaselineClassified(cfg, cfg.Traces.Source(names[idx]), side(s), 4096, 16)
-		baseMisses[s][idx] = bc.misses
-	})
-
-	type job struct{ bench, runIdx, sideIdx int }
-	var jobs []job
-	for b := range names {
-		for r := range runs {
-			jobs = append(jobs, job{b, r, 0}, job{b, r, 1})
+	// Run length 0 is no prefetching at all: the baseline itself.
+	cfg.parallelFor(len(names), func(b int) {
+		var p pass
+		var bases [2]*classifiedRun
+		var bufs [2][]*frontRun
+		for s := side(0); s < 2; s++ {
+			bases[s] = p.baseline(s, 4096, 16)
+			bufs[s] = make([]*frontRun, len(runs))
+			for r, runLimit := range runs {
+				if runLimit > 0 {
+					bufs[s][r] = p.front(s, core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
+						core.StreamConfig{Ways: ways, Depth: 4, RunLimit: runLimit},
+						nil, core.DefaultTiming()))
+				}
+			}
 		}
-	}
-	cfg.parallelFor(len(jobs), func(j int) {
-		jb := jobs[j]
-		runLimit := runs[jb.runIdx]
-		var misses uint64
-		if runLimit == 0 {
-			misses = baseMisses[jb.sideIdx][jb.bench] // no prefetching at all
-		} else {
-			st := runFront(cfg, cfg.Traces.Source(names[jb.bench]), side(jb.sideIdx), func() core.FrontEnd {
-				return core.NewStreamBuffer(cache.MustNew(l1Config(4096, 16)),
-					core.StreamConfig{Ways: ways, Depth: 4, RunLimit: runLimit},
-					nil, core.DefaultTiming())
-			})
-			misses = st.FullMisses()
+		replayGroup(cfg, cfg.Traces.Source(names[b]), p...)
+		for s, bc := range bases {
+			base := bc.counts().misses
+			baseMisses[s][b] = base
+			for r, fr := range bufs[s] {
+				misses := base
+				if fr != nil {
+					misses = fr.fe.Stats().FullMisses()
+				}
+				perBench[s][r][b] = stats.PercentReduction(float64(base), float64(misses))
+			}
 		}
-		base := baseMisses[jb.sideIdx][jb.bench]
-		perBench[jb.sideIdx][jb.runIdx][jb.bench] =
-			stats.PercentReduction(float64(base), float64(misses))
 	})
 
 	xs := make([]float64, len(runs))

@@ -29,24 +29,32 @@ func streamParamSweep(cfg Config, id, title, xLabel string,
 
 	cfg.parallelFor(len(params), func(pi int) {
 		size, line := mkGeom(params[pi])
-		for s := 0; s < 2; s++ {
-			base := make([]uint64, len(names))
-			include := make([]bool, len(names))
-			for b := range names {
-				bc := runBaselineClassified(cfg, cfg.Traces.Source(names[b]), side(s), size, line)
-				base[b] = bc.misses
-				include[b] = bc.misses >= minConflictsForAverage
-			}
-			for wi, w := range ways {
-				vals := make([]float64, len(names))
-				for b := range names {
-					st := runFront(cfg, cfg.Traces.Source(names[b]), side(s), func() core.FrontEnd {
-						return core.NewStreamBuffer(cache.MustNew(l1Config(size, line)),
-							core.StreamConfig{Ways: w, Depth: 4}, nil, core.DefaultTiming())
-					})
-					vals[b] = stats.PercentReduction(float64(base[b]), float64(st.FullMisses()))
+		var include [2][]bool
+		var vals [2][2][]float64 // [side][wayIdx][bench]
+		for b := range names {
+			var p pass
+			var bases [2]*classifiedRun
+			var bufs [2][2]*frontRun
+			for s := side(0); s < 2; s++ {
+				bases[s] = p.baseline(s, size, line)
+				for wi, w := range ways {
+					bufs[s][wi] = p.front(s, core.NewStreamBuffer(cache.MustNew(l1Config(size, line)),
+						core.StreamConfig{Ways: w, Depth: 4}, nil, core.DefaultTiming()))
 				}
-				results[s][wi][pi] = meanOver(vals, include)
+			}
+			replayGroup(cfg, cfg.Traces.Source(names[b]), p...)
+			for s, bc := range bases {
+				base := bc.counts().misses
+				include[s] = append(include[s], base >= minConflictsForAverage)
+				for wi, fr := range bufs[s] {
+					vals[s][wi] = append(vals[s][wi],
+						stats.PercentReduction(float64(base), float64(fr.fe.Stats().FullMisses())))
+				}
+			}
+		}
+		for s := 0; s < 2; s++ {
+			for wi := range ways {
+				results[s][wi][pi] = meanOver(vals[s][wi], include[s])
 			}
 		}
 	})

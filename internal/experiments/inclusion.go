@@ -39,20 +39,11 @@ func AblationInclusion() Experiment {
 				plain, victim hierarchy.InclusionReport
 			}
 			out := make([]row, len(names))
-			cfg.parallelFor(len(names)*2, func(k int) {
-				i, v := k/2, k%2
-				tr := cfg.Traces.Get(names[i])
-				sysCfg := mkPlain()
-				if v == 1 {
-					sysCfg = mkVictim()
-				}
-				sys := hierarchy.MustNew(sysCfg)
-				sys.RunSource(tr.Source())
-				if v == 0 {
-					out[i].plain = sys.Inclusion()
-				} else {
-					out[i].victim = sys.Inclusion()
-				}
+			cfg.parallelFor(len(names), func(i int) {
+				var p pass
+				plain, victim := p.system(mkPlain()), p.system(mkVictim())
+				replayGroup(cfg, cfg.Traces.Source(names[i]), p...)
+				out[i] = row{plain.Inclusion(), victim.Inclusion()}
 			})
 
 			pct := func(violations, lines int) string {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"jouppi/internal/fanout"
 	"jouppi/internal/hierarchy"
 	"jouppi/internal/introspect"
 	"jouppi/internal/textplot"
@@ -42,16 +41,14 @@ func runIntrospectPhase(cfg Config) *Result {
 		{},
 		{DAugment: hierarchy.Augment{Kind: hierarchy.VictimCache, Entries: 4}},
 	}
+	var p pass
 	systems := make([]*hierarchy.System, len(sysCfgs))
 	probes := make([]*introspect.SystemProbe, len(sysCfgs))
-	consumers := make([]fanout.Consumer, len(sysCfgs))
 	for i, sc := range sysCfgs {
-		systems[i] = hierarchy.MustNew(sc)
+		systems[i] = p.system(sc)
 		probes[i] = introspect.Attach(systems[i], opts)
-		consumers[i] = fanout.Sink(systems[i])
 	}
-	replayGroup(cfg, tr.Source(), consumers...)
-	cfg.Accesses.Add(uint64(len(sysCfgs)) * uint64(tr.Len()))
+	replayGroup(cfg, tr.Source(), p...)
 
 	series := make([]textplot.Series, len(probes))
 	for i, p := range probes {

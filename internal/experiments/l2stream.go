@@ -23,29 +23,9 @@ func AblationL2Stream() Experiment {
 			names := benchNames()
 			sizes := []int{1 << 20, 64 << 10}
 
-			run := func(name string, l2Size int, buffers bool) hierarchy.Results {
-				sysCfg := hierarchy.Config{
-					L2: cache.Config{Name: "L2", Size: l2Size, LineSize: 128, Assoc: 1},
-				}
-				if buffers {
-					sysCfg.L2Augment = hierarchy.Augment{
-						Kind:   hierarchy.StreamBuffers,
-						Stream: core.StreamConfig{Ways: 4, Depth: 4},
-					}
-				}
-				return runSystem(cfg, name, sysCfg)
-			}
-
-			// results[bench][size][0=base,1=buffers]
-			results := make([][][2]hierarchy.Results, len(names))
-			for i := range results {
-				results[i] = make([][2]hierarchy.Results, len(sizes))
-			}
-			cfg.parallelFor(len(names)*len(sizes)*2, func(k int) {
-				b := k / (len(sizes) * 2)
-				si := (k / 2) % len(sizes)
-				v := k % 2
-				results[b][si][v] = run(names[b], sizes[si], v == 1)
+			results := l2AugmentSweep(cfg, names, sizes, hierarchy.Augment{
+				Kind:   hierarchy.StreamBuffers,
+				Stream: core.StreamConfig{Ways: 4, Depth: 4},
 			})
 
 			headers := []string{"program", "L2 size", "L2 misses (base)",
@@ -73,4 +53,30 @@ func AblationL2Stream() Experiment {
 				Text: text, Headers: headers, Rows: rows}
 		},
 	}
+}
+
+// l2AugmentSweep replays each benchmark once through a plain and an
+// aug-augmented direct-mapped L2 (128B lines) at every size, returning
+// results indexed [bench][size][0=plain,1=augmented].
+func l2AugmentSweep(cfg Config, names []string, sizes []int, aug hierarchy.Augment) [][][2]hierarchy.Results {
+	results := make([][][2]hierarchy.Results, len(names))
+	for i := range results {
+		results[i] = make([][2]hierarchy.Results, len(sizes))
+	}
+	cfg.parallelFor(len(names), func(b int) {
+		var sysCfgs []hierarchy.Config
+		for _, size := range sizes {
+			for _, l2aug := range []hierarchy.Augment{{}, aug} {
+				sysCfgs = append(sysCfgs, hierarchy.Config{
+					L2:        cache.Config{Name: "L2", Size: size, LineSize: 128, Assoc: 1},
+					L2Augment: l2aug,
+				})
+			}
+		}
+		rs := runSystemsFanout(cfg, names[b], sysCfgs)
+		for si := range sizes {
+			results[b][si] = [2]hierarchy.Results{rs[2*si], rs[2*si+1]}
+		}
+	})
+	return results
 }

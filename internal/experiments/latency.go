@@ -38,25 +38,34 @@ func AblationLatency() Experiment {
 				impPct  float64 // mean % of potential, improved
 				speedup float64 // mean speedup
 			}
-			out := make([]cell, len(points))
-			cfg.parallelFor(len(points), func(pi int) {
-				pt := points[pi]
-				var basePcts, impPcts, speedups []float64
-				for _, name := range names {
-					mk := func(base hierarchy.Config) hierarchy.Config {
-						base.Timing.MissPenalty = pt.l1Pen
-						base.Timing.FillLatency = pt.l1Pen
-						base.Timing.AuxPenalty = 1
-						base.Timing.FillInterval = 4
-						base.Perf = perfmodel.Params{
+			// results[bench][2*point + 0=base,1=improved]
+			results := make([][]hierarchy.Results, len(names))
+			for b := range results {
+				results[b] = make([]hierarchy.Results, 2*len(points))
+			}
+			cfg.parallelFor(len(names), func(b int) {
+				var sysCfgs []hierarchy.Config
+				for _, pt := range points {
+					for _, sysCfg := range []hierarchy.Config{{}, improvedConfig()} {
+						sysCfg.Timing.MissPenalty = pt.l1Pen
+						sysCfg.Timing.FillLatency = pt.l1Pen
+						sysCfg.Timing.AuxPenalty = 1
+						sysCfg.Timing.FillInterval = 4
+						sysCfg.Perf = perfmodel.Params{
 							L1MissPenalty: pt.l1Pen,
 							L2MissPenalty: pt.l2Pen,
 							AuxHitPenalty: 1,
 						}
-						return base
+						sysCfgs = append(sysCfgs, sysCfg)
 					}
-					rb := runSystem(cfg, name, mk(hierarchy.Config{}))
-					ri := runSystem(cfg, name, mk(improvedConfig()))
+				}
+				copy(results[b], runSystemsFanout(cfg, names[b], sysCfgs))
+			})
+			out := make([]cell, len(points))
+			for pi := range points {
+				var basePcts, impPcts, speedups []float64
+				for b := range names {
+					rb, ri := results[b][2*pi], results[b][2*pi+1]
 					basePcts = append(basePcts, rb.Breakdown.PercentOfPotential())
 					impPcts = append(impPcts, ri.Breakdown.PercentOfPotential())
 					speedups = append(speedups, perfmodel.Speedup(rb.Breakdown, ri.Breakdown))
@@ -66,7 +75,7 @@ func AblationLatency() Experiment {
 					impPct:  stats.Mean(impPcts),
 					speedup: stats.Mean(speedups),
 				}
-			})
+			}
 
 			headers := []string{"L1/L2 penalty", "baseline % potential", "improved % potential", "mean speedup"}
 			var rows [][]string

@@ -28,10 +28,11 @@ func Overlap() Experiment {
 			}
 			out := make([]row, len(names))
 			cfg.parallelFor(len(names), func(i int) {
-				st := runFront(cfg, cfg.Traces.Source(names[i]), dSide, func() core.FrontEnd {
-					return core.NewCombined(cache.MustNew(l1Config(4096, 16)), 4,
-						core.StreamConfig{Ways: 4, Depth: 4}, nil, core.DefaultTiming())
-				})
+				var p pass
+				fr := p.front(dSide, core.NewCombined(cache.MustNew(l1Config(4096, 16)), 4,
+					core.StreamConfig{Ways: 4, Depth: 4}, nil, core.DefaultTiming()))
+				replayGroup(cfg, cfg.Traces.Source(names[i]), p...)
+				st := fr.fe.Stats()
 				out[i] = row{st.VictimHits, st.OverlapHits, st.L1Misses}
 			})
 

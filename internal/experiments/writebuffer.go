@@ -34,21 +34,24 @@ func AblationWriteBuffer() Experiment {
 				}
 			}
 			cfg.parallelFor(len(names), func(i int) {
-				tr := cfg.Traces.Get(names[i])
+				var p pass
+				base := p.front(dSide, core.NewBaseline(cache.MustNew(l1Config(4096, 16)),
+					nil, core.DefaultTiming()))
+				runs := make([][]*frontRun, len(intervals))
 				for ii, interval := range intervals {
-					for di, depth := range depths {
-						inner := core.NewBaseline(
-							cache.MustNew(l1Config(4096, 16)), nil, core.DefaultTiming())
-						fe := core.NewWithWriteBuffer(inner,
-							core.NewWriteBuffer(depth, interval))
-						st := runFrontOn(tr.Source(), dSide, fe)
+					for _, depth := range depths {
+						inner := core.NewBaseline(cache.MustNew(l1Config(4096, 16)), nil, core.DefaultTiming())
+						runs[ii] = append(runs[ii], p.front(dSide,
+							core.NewWithWriteBuffer(inner, core.NewWriteBuffer(depth, interval))))
+					}
+				}
+				replayGroup(cfg, cfg.Traces.Source(names[i]), p...)
+				for ii := range intervals {
+					for di, fr := range runs[ii] {
 						// Isolate the buffer's contribution: stalls beyond
 						// the plain front-end's.
-						base := runFront(cfg, tr.Source(), dSide, func() core.FrontEnd {
-							return core.NewBaseline(cache.MustNew(l1Config(4096, 16)),
-								nil, core.DefaultTiming())
-						})
-						out[i][ii][di] = float64(st.StallCycles-base.StallCycles) /
+						st := fr.fe.Stats()
+						out[i][ii][di] = float64(st.StallCycles-base.fe.Stats().StallCycles) /
 							float64(max(1, st.Accesses))
 					}
 				}

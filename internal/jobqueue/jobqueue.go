@@ -72,8 +72,11 @@ type Status struct {
 
 // Job is one admitted submission.
 type Job struct {
-	id     string
-	key    string
+	id  string
+	key string
+	// spec is what the job runs. A terminal job drops it (under mu), so
+	// the up to MaxJobs finished records retained for status lookups do
+	// not pin their uploaded traces.
 	spec   *Spec
 	events *eventLog
 	// jnl is the job's journal over events: RunAll lifecycle events and
@@ -321,10 +324,6 @@ func (q *Queue) Tracer() *trace.Tracer { return q.tracer }
 // SLO exposes the per-stage latency accounting (for /debug/traces).
 func (q *Queue) SLO() *trace.SLO { return q.slo }
 
-// Profiler exposes the queue-wait CPU-profile trigger (nil when not
-// armed).
-func (q *Queue) Profiler() *trace.CPUProfile { return q.prof }
-
 // Version returns the build identity folded into cache keys.
 func (q *Queue) Version() string { return q.opts.Version }
 
@@ -392,6 +391,7 @@ func (q *Queue) Submit(spec *Spec) (*Job, error) {
 		q.tel.submitted.Inc()
 		q.tel.cacheHits.Inc()
 		job.state = StateDone
+		job.spec = nil
 		job.cacheHit = true
 		job.finished = job.created
 		job.result = cached
@@ -474,6 +474,7 @@ func (q *Queue) runJob(job *Job) {
 	}
 	job.state = StateRunning
 	job.started = time.Now()
+	spec := job.spec
 	job.mu.Unlock()
 
 	// "run" covers everything between queue wait and settlement: the
@@ -493,12 +494,12 @@ func (q *Queue) runJob(job *Job) {
 	q.log.Info("job running", "job", job.id, "span", job.root.ID(),
 		"queue_wait_s", job.started.Sub(job.created).Seconds())
 
-	if d := firstDuration(job.spec.Deadline, q.opts.JobDeadline); d > 0 {
+	if d := firstDuration(spec.Deadline, q.opts.JobDeadline); d > 0 {
 		var cancel context.CancelFunc
 		rctx, cancel = context.WithTimeout(rctx, d)
 		defer cancel()
 	}
-	retries := job.spec.Retries
+	retries := spec.Retries
 	if retries < 0 {
 		retries = q.opts.Retries
 	}
@@ -515,7 +516,7 @@ func (q *Queue) runJob(job *Job) {
 			job.attempts++
 			job.mu.Unlock()
 			res := &experiments.Result{ID: job.id, Title: "cachesimd job " + job.id}
-			out, err := q.opts.Runner(cfg.Context(), job.spec, q.opts.Version)
+			out, err := q.opts.Runner(cfg.Context(), spec, q.opts.Version)
 			if err != nil {
 				lastErr = err
 				res.Err = err.Error()
@@ -533,7 +534,7 @@ func (q *Queue) runJob(job *Job) {
 	}
 	results, _ := experiments.RunAll(rctx, experiments.Config{}, experiments.RunOptions{
 		Experiments: []experiments.Experiment{exp},
-		Timeout:     firstDuration(job.spec.Timeout, q.opts.JobTimeout),
+		Timeout:     firstDuration(spec.Timeout, q.opts.JobTimeout),
 		Retries:     retries,
 		Backoff:     &q.opts.Backoff,
 		Retryable:   func(*experiments.Result) bool { return !IsPermanent(lastErr) },
@@ -585,6 +586,7 @@ func (q *Queue) finish(job *Job, state State, errText string, body []byte) {
 		return
 	}
 	job.state = state
+	job.spec = nil
 	job.err = errText
 	job.result = body
 	job.finished = time.Now()

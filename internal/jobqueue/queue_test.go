@@ -162,6 +162,35 @@ func TestQueueCacheHitIsByteIdentical(t *testing.T) {
 	}
 }
 
+// A finished job must not pin its uploaded trace: up to MaxJobs terminal
+// records stay retained for status lookups, and none of them reads its
+// spec again. Both ways a job ends up terminal are covered: run to
+// completion, and answered from the result store at submission.
+func TestFinishedJobReleasesUpload(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := NewQueue(Options{Workers: 1, Store: store, Version: "test"})
+	defer q.Drain(time.Second)
+
+	for _, label := range []string{"run", "cache hit"} {
+		job, err := q.Submit(uploadSpec(t, testTraceDin(100), "victim=2"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitJob(t, job); st.State != StateDone || st.CacheHit != (label == "cache hit") {
+			t.Fatalf("%s: state %s, cacheHit %v", label, st.State, st.CacheHit)
+		}
+		job.mu.Lock()
+		spec := job.spec
+		job.mu.Unlock()
+		if spec != nil {
+			t.Errorf("%s: finished job still references its %d-byte upload", label, len(spec.TraceData))
+		}
+	}
+}
+
 func TestQueueJoinsIdenticalInFlightSubmissions(t *testing.T) {
 	release := make(chan struct{})
 	reg := telemetry.NewRegistry()

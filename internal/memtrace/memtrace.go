@@ -156,29 +156,8 @@ type Sink interface {
 // a workload generator.
 func (t *Trace) Access(a Access) { t.Append(a) }
 
-// Tee returns a Sink that forwards every access to each of sinks in order.
-func Tee(sinks ...Sink) Sink { return teeSink(sinks) }
-
-type teeSink []Sink
-
-func (ts teeSink) Access(a Access) {
-	for _, s := range ts {
-		s.Access(a)
-	}
-}
-
 // SinkFunc adapts a function to the Sink interface.
 type SinkFunc func(Access)
 
 // Access calls f(a).
 func (f SinkFunc) Access(a Access) { f(a) }
-
-// Filter returns a Sink that forwards only accesses for which keep returns
-// true.
-func Filter(dst Sink, keep func(Access) bool) Sink {
-	return SinkFunc(func(a Access) {
-		if keep(a) {
-			dst.Access(a)
-		}
-	})
-}

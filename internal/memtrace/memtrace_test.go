@@ -145,33 +145,6 @@ func TestTraceSlice(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	a, b := NewTrace(0), NewTrace(0)
-	sink := Tee(a, b)
-	sink.Access(Access{0x40, Load})
-	sink.Access(Access{0x80, Ifetch})
-	if a.Len() != 2 || b.Len() != 2 {
-		t.Fatalf("tee lengths = %d, %d, want 2, 2", a.Len(), b.Len())
-	}
-	if a.At(1) != b.At(1) {
-		t.Errorf("tee targets diverge: %v vs %v", a.At(1), b.At(1))
-	}
-}
-
-func TestFilter(t *testing.T) {
-	dst := NewTrace(0)
-	f := Filter(dst, func(a Access) bool { return a.Kind.IsData() })
-	f.Access(Access{0x100, Ifetch})
-	f.Access(Access{0x200, Load})
-	f.Access(Access{0x300, Store})
-	if dst.Len() != 2 {
-		t.Fatalf("filtered len = %d, want 2", dst.Len())
-	}
-	if dst.At(0).Kind != Load || dst.At(1).Kind != Store {
-		t.Errorf("filter kept wrong accesses: %v, %v", dst.At(0), dst.At(1))
-	}
-}
-
 func randomTrace(n int, seed int64) *Trace {
 	rng := rand.New(rand.NewSource(seed))
 	tr := NewTrace(n)

@@ -167,9 +167,6 @@ func (c *Cursor) NextChunk(dst []Access) int {
 	return n
 }
 
-// Remaining returns how many accesses the cursor has yet to deliver.
-func (c *Cursor) Remaining() int { return len(c.t.recs) - c.i }
-
 var _ ChunkSource = (*Cursor)(nil)
 
 // Counts tallies accesses per kind as they stream past.
